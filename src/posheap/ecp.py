@@ -17,21 +17,24 @@ fraction-free over Python ints, so counts are exact at any size.
 The solvers work on integers only.  A Multigraph numbers its nodes and its
 edges in construction order and keeps flat lists indexed by those numbers;
 a priority set is resolved once into a PrioritySet, one edge id or -1 per
-node, and checked then.  Node names and (u, v) pairs appear only at the
-front: when a Multigraph is built from named edges, when f is given as
-pairs, and in EulerCycle.arcs and Multigraph.gamma, which are spelled out
-on first use.
+node, and checked then.  Each call checks its instance once, in _prepare,
+and the solver, the counter and the enumerator all read the same lists.
+Node names and (u, v) pairs appear only at the front: when a Multigraph is
+built from named edges, when f is given as pairs, and in EulerCycle.arcs
+and Multigraph.gamma, which are spelled out on first use.
 
 Every deterministic choice breaks ties by edge id, that is, by construction
 order.  The spanning tree toward r is a breadth-first search from r over
 entering edges in edge order.  The greedy walk leaves each node by its
 priority edge first, then by its other edges in edge order, and by its tree
-edge last.  Enumeration walks arborescences picking frontier edges in that
-same order, and per-node departure orders in out-edge order.
+edge last.  Enumeration runs through the arborescences toward r
+include-first, always on the first edge that can join the tree (tree nodes
+in joining order, their entering edges in edge order).  Per arborescence,
+each node's free departures start sorted by edge id and step to their next
+lexicographic permutation, the last node fastest.
 """
 
 from collections.abc import Set
-from dataclasses import dataclass
 from itertools import accumulate
 from math import factorial
 
@@ -235,14 +238,6 @@ class EulerCycle:
         return iter(self.arcs)
 
 
-@dataclass(frozen=True)
-class OrientedTree:
-    """One chosen out-edge per non-sink node, all paths leading to sink."""
-
-    sink: object
-    out_edge: dict
-
-
 class PrioritySet(Set):
     """A well-formed priority set of one graph, resolved to edge ids.
 
@@ -309,13 +304,6 @@ def demote_priorities(g: Multigraph, f):
     return frozenset(e for e in f if len(g.out_edges(g.node_index[e[0]])) > 1)
 
 
-def _priorities(g: Multigraph, f):
-    """Checked and demoted priority edge per node number, -1 for none."""
-    first = PrioritySet.resolve(g, f).first
-    start = g.out_start
-    return [e if e >= 0 and start[i + 1] - start[i] > 1 else -1 for i, e in enumerate(first)]
-
-
 def _balanced(g: Multigraph) -> bool:
     """In-multiplicity equals out-multiplicity at every node."""
     balance = [0] * len(g.nodes)
@@ -325,12 +313,32 @@ def _balanced(g: Multigraph) -> bool:
     return not any(balance)
 
 
-def _start(g: Multigraph, r):
-    """The number of node r if it touches an edge, else None."""
-    i = g.node_index.get(r)
-    if i is None or not (g.out_edges(i) or g.in_edges(i)):
+def _prepare(g: Multigraph, f, r):
+    """The checked instance (prio, ri, tree), or None if no cycle respects f.
+
+    prio[i] is the id of node i's priority edge after demotion, or -1; a
+    malformed f raises ValueError.  ri is the number of node r, and tree[u]
+    the edge by which u leaves toward ri in a breadth-first spanning tree
+    that avoids priority edges (-1 for ri and for nodes without edges).  A
+    graph without edges passes with ri and tree None: the empty cycle is its
+    only one.  Otherwise None comes back when a node is unbalanced or an
+    edge-touching node cannot reach r without priority edges (r itself
+    touching no edge included).  The last case rules out every respecting
+    cycle, whose last exits would form such a tree, and leaves nothing to
+    count: this is the only check that solve, count and enumerate need.
+    """
+    first = PrioritySet.resolve(g, f).first
+    start = g.out_start
+    prio = [e if e >= 0 and start[i + 1] - start[i] > 1 else -1 for i, e in enumerate(first)]
+    if not g.mult:
+        return prio, None, None
+    ri = g.node_index.get(r)
+    if ri is None or not _balanced(g):
         return None
-    return i
+    tree, reached = _tree_toward(g, [ri], prio, bytes(len(g.mult)))
+    if reached != len(_active(g)):
+        return None
+    return prio, ri, tree
 
 
 def check_eulerian(g: Multigraph, r) -> bool:
@@ -338,49 +346,28 @@ def check_eulerian(g: Multigraph, r) -> bool:
 
     Balance (in-multiplicity equals out-multiplicity everywhere) plus
     connectivity of the edge-touching nodes, which must include r unless the
-    graph has no edges at all.  In a balanced graph connected means every
-    edge-touching node reaches r, which the reversed search checks.
+    graph has no edges at all.
     """
-    if not g.mult:
-        return True
-    ri = _start(g, r)
-    if ri is None or not _balanced(g):
-        return False
-    return _tree_toward(g, ri, [-1] * len(g.nodes))[1] == len(_active(g))
+    return _prepare(g, (), r) is not None
 
 
-def oriented_spanning_tree(g: Multigraph, sink) -> OrientedTree | None:
-    """Pick one out-edge per node so that every node reaches sink.
-
-    Breadth-first from sink over reversed edges; choices are deterministic
-    in construction order.  None if any node of g cannot reach sink.
-    """
-    si = g.node_index.get(sink)
-    if si is None:
-        return None
-    tree, reached = _tree_toward(g, si, [-1] * len(g.nodes))
-    if reached != len(g.nodes):
-        return None
-    nodes = g.nodes
-    return OrientedTree(sink, {nodes[u]: _pair(g, e) for u, e in enumerate(tree) if e >= 0})
-
-
-def _tree_toward(g: Multigraph, ri, prio):
-    """BFS from node ri over entering edges that are not priority edges.
+def _tree_toward(g: Multigraph, sources, prio, excluded):
+    """BFS from sources over entering edges, skipping priority and excluded ones.
 
     Returns (tree, reached): tree[u] is the edge by which u was first
-    reached, the one it leaves by toward ri (-1 for ri and unreached
-    nodes), and reached counts the nodes reached, ri included.
+    reached, the one it leaves by toward the sources (-1 for sources and
+    unreached nodes), and reached counts the nodes reached, sources included.
     """
     tail, start, ids = g.tail, g.in_start, g.in_ids
     tree = [-1] * len(g.nodes)
     seen = bytearray(len(g.nodes))
-    seen[ri] = 1
-    queue = [ri]
+    queue = list(sources)
+    for w in queue:
+        seen[w] = 1
     for w in queue:  # the queue grows while it is read
         for e in ids[start[w] : start[w + 1]]:
             u = tail[e]
-            if not seen[u] and prio[u] != e:
+            if not seen[u] and prio[u] != e and not excluded[e]:
                 seen[u] = 1
                 tree[u] = e
                 queue.append(u)
@@ -425,18 +412,13 @@ def solve_ecp(g: Multigraph, f, r) -> EulerCycle | None:
     has one, otherwise the next unused non-tree edge, and the spanning-tree
     edge only as last resort.  The tree is oriented toward r and avoids
     priority edges, which is exactly what makes the greedy walk complete.
-    A tree that misses an edge-touching node also rules out every cycle,
-    so no separate connectivity pass is made.
     """
-    prio = _priorities(g, f)
+    prepared = _prepare(g, f, r)
+    if prepared is None:
+        return None
     if not g.mult:
         return EulerCycle(r, ())
-    ri = _start(g, r)
-    if ri is None or not _balanced(g):
-        return None
-    tree, reached = _tree_toward(g, ri, prio)
-    if reached != len(_active(g)):
-        return None
+    prio, ri, tree = prepared
 
     # Each node's out-edges in walk order, ended by the sentinel id m:
     # priority edge, other edges in edge order, tree edge.  Node v's run
@@ -474,14 +456,8 @@ def solve_ecp(g: Multigraph, f, r) -> EulerCycle | None:
         remaining[e] -= 1
         append(e)
         v = head[e]
-    if v != ri:
-        return None
+    assert v == ri, "a balanced graph's full walk is closed"
     return EulerCycle._of(g, r, tuple(arcs))
-
-
-def _free_out(g: Multigraph, prio):
-    """Per node number, its out-edge ids without its priority edge."""
-    return [[e for e in g.out_edges(v) if e != p] for v, p in enumerate(prio)]
 
 
 def count_ecp(g: Multigraph, f, r) -> int:
@@ -491,50 +467,45 @@ def count_ecp(g: Multigraph, f, r) -> int:
     orderings per node (parallel copies collapsed) times the weighted count
     of arborescences toward r, the latter via the matrix-tree determinant.
     """
-    prio = _priorities(g, f)
+    prepared = _prepare(g, f, r)
+    if prepared is None:
+        return 0
     if not g.mult:
         return 1
-    if not check_eulerian(g, r):
-        return 0
+    prio, ri, _ = prepared
     active = _active(g)
-    out2 = _free_out(g, prio)
+    out2 = [[e for e in g.out_edges(v) if e != p] for v, p in enumerate(prio)]
     mult = g.mult
 
     deg = [sum(mult[e] for e in es) for es in out2]
     # After demotion every edge-touching node keeps a priority-free
     # out-edge, so degrees are positive whenever balance held.
-    ri = g.node_index[r]
     num = deg[ri]
     den = 1
     for v in active:
         num *= factorial(deg[v] - 1)
         for e in out2[v]:
             den *= factorial(mult[e])
-    trees = _arborescence_sum(g, active, out2, ri)
-    if trees == 0:
-        return 0
-    total = num * trees
+    total = num * _arborescence_sum(g, active, out2, ri)
     assert total % den == 0, "count lost exactness, which cannot happen"
     return total // den
 
 
 def _arborescence_sum(g: Multigraph, active, out2, ri):
-    """Sum over arborescences toward ri of the product of edge weights."""
-    idx = {v: i for i, v in enumerate(active)}
-    size = len(active)
-    lap = [[0] * size for _ in range(size)]
-    for v in active:
-        i = idx[v]
+    """Sum over arborescences toward ri of the product of edge weights.
+
+    The determinant of the weighted Laplacian of out2 with ri's row and
+    column left out, rows and columns in active order.
+    """
+    idx = {v: i for i, v in enumerate(v for v in active if v != ri)}
+    minor = [[0] * len(idx) for _ in idx]
+    for v, i in idx.items():
         for e in out2[v]:
             w = g.mult[e]
-            lap[i][i] += w
-            lap[i][idx[g.head[e]]] -= w
-    rr = idx[ri]
-    minor = [
-        [lap[i][j] for j in range(size) if j != rr]
-        for i in range(size)
-        if i != rr
-    ]
+            minor[i][i] += w
+            j = idx.get(g.head[e])
+            if j is not None:
+                minor[i][j] -= w
     value = _det_bareiss(minor)
     assert value >= 0
     return value
@@ -576,155 +547,132 @@ def enumerate_ecp(g: Multigraph, f, r):
     edge pinned first.  Emission order is fixed; solutions are yielded one
     at a time with working state linear in the graph size.
     """
-    prio = _priorities(g, f)
+    prepared = _prepare(g, f, r)
+    if prepared is None:
+        return
     if not g.mult:
         yield EulerCycle(r, ())
         return
-    if not check_eulerian(g, r):
-        return
-    ri = g.node_index[r]
+    prio, ri, _ = prepared
     active = _active(g)
-    out2 = _free_out(g, prio)
-    tail = g.tail
-    inn2 = [[e for e in g.in_edges(v) if prio[tail[e]] != e] for v in range(len(g.nodes))]
-    total = g.total_multiplicity()
+    mult, head, start, ids = g.mult, g.head, g.out_start, g.out_ids
+    begin = [0] * len(g.nodes)  # v's departures are seq[begin[v]:], one per copy
 
-    for tree in _arborescences(active, inn2, tail, ri):
-        makers = [_sequence_maker(out2[v], g.mult, prio[v], tree.get(v)) for v in active]
-        gens = [mk() for mk in makers]
-        current = [next(gn) for gn in gens]
+    for tree in _arborescences(g, prio, ri, len(active)):
+        seq = []
+        free = []  # (lo, hi) of stretches with more than one ordering
+        for v in active:
+            p, t = prio[v], tree[v]
+            begin[v] = len(seq)
+            if p >= 0:
+                seq.append(p)
+            lo = len(seq)
+            for e in ids[start[v] : start[v + 1]]:
+                if e != p:
+                    seq.extend([e] * (mult[e] - (e == t)))
+            hi = len(seq)
+            if t >= 0:
+                seq.append(t)
+            if lo < hi and seq[lo] != seq[hi - 1]:
+                free.append((lo, hi))
         while True:
-            yield _materialize(g, active, current, ri, r, total)
-            k = len(gens) - 1
-            while k >= 0:
-                nxt = next(gens[k], None)
-                if nxt is not None:
-                    current[k] = nxt
-                    break
-                gens[k] = makers[k]()
-                current[k] = next(gens[k])
-                k -= 1
-            if k < 0:
+            ptr = begin[:]
+            cycle = []
+            v = ri
+            for _ in range(len(seq)):
+                e = seq[ptr[v]]
+                ptr[v] += 1
+                cycle.append(e)
+                v = head[e]
+            assert v == ri
+            yield EulerCycle._of(g, r, tuple(cycle))
+            # the last node's stretch steps fastest; any() stops at the
+            # first stretch that steps without wrapping around
+            if not any(_next_permutation(seq, lo, hi) for lo, hi in reversed(free)):
                 break
 
 
-def _sequence_maker(out_edges, mult, prio_edge, tree_edge):
-    """Restartable stream of full departure sequences for one node.
+def _next_permutation(a, lo, hi) -> bool:
+    """Step a[lo:hi] to its next distinct permutation in lexicographic order.
 
-    Each sequence starts with the priority edge when the node has one
-    (prio_edge >= 0), ends with the tree edge when the node is not the
-    start, and permutes the remaining edge copies freely, duplicates
-    collapsed, in out-edge order.
+    After the last one it wraps around to the first, sorted one and returns
+    False.
     """
-    items = []
-    for e in out_edges:
-        c = mult[e] - (1 if e == tree_edge else 0)
-        if c > 0:
-            items.append((e, c))
-    head = (prio_edge,) if prio_edge >= 0 else ()
-    tail = (tree_edge,) if tree_edge is not None else ()
-
-    def make():
-        for middle in _multiset_perms(items):
-            yield head + middle + tail
-
-    return make
+    i = hi - 2
+    while i >= lo and a[i] >= a[i + 1]:
+        i -= 1
+    if i >= lo:
+        j = hi - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+    a[i + 1 : hi] = a[i + 1 : hi][::-1]
+    return i >= lo
 
 
-def _multiset_perms(items):
-    """Distinct permutations of [(value, count), ...] in item order."""
-    total = sum(c for _, c in items)
-    counts = [c for _, c in items]
-    values = [v for v, _ in items]
-    chosen = []
+def _arborescences(g: Multigraph, prio, ri, n_active):
+    """All arborescences toward node ri that avoid priority edges.
 
-    def rec():
-        if len(chosen) == total:
-            yield tuple(chosen)
-            return
-        for i in range(len(values)):
-            if counts[i]:
-                counts[i] -= 1
-                chosen.append(values[i])
-                yield from rec()
-                chosen.pop()
-                counts[i] += 1
-
-    return rec()
-
-
-def _materialize(g: Multigraph, active, sequences, ri, r, total):
-    """Replay per-node departure sequences into the cycle they spell."""
-    seq_of = dict(zip(active, sequences))
-    ptr = dict.fromkeys(active, 0)
-    head = g.head
-    ids = []
-    v = ri
-    for _ in range(total):
-        e = seq_of[v][ptr[v]]
-        ptr[v] += 1
-        ids.append(e)
-        v = head[e]
-    assert v == ri
-    return EulerCycle._of(g, r, tuple(ids))
-
-
-def _arborescences(active, inn2, tail, ri):
-    """All arborescences toward node ri, as dicts node -> chosen out-edge.
-
-    Classic include/exclude enumeration over frontier edges with a
-    reachability prune, so each tree is produced exactly once and dead
-    branches are cut early.  Works on the reversed adjacency (inn2 lists,
-    per node, the ids of the edges entering it).
+    Include/exclude enumeration with a reachability prune, so each tree is
+    produced exactly once and dead branches are cut early.  Each step picks
+    the first edge, in scan order, whose head is in the tree, whose tail is
+    not, and which is neither a priority edge nor excluded.  Candidates only
+    vanish as the search goes deeper, so the scan resumes where the step
+    above found its edge.  The search runs on an explicit stack.  Every tree
+    is the same list, tree[u] the edge leaving u (-1 for ri and nodes
+    without edges), valid until the next one is asked for.
     """
-    n_active = len(active)
-    if ri not in set(active):
-        return
-    tree = {}
-    tree_nodes = {ri}
-    tree_order = [ri]
-    deleted = set()
+    tail, in_start, in_ids = g.tail, g.in_start, g.in_ids
+    tree = [-1] * len(g.nodes)
+    in_tree = bytearray(len(g.nodes))
+    in_tree[ri] = 1
+    order = [ri]  # tree nodes in the order they joined
+    excluded = bytearray(len(g.mult))  # edges the current branch leaves out
 
-    def extendable():
-        reached = set(tree_nodes)
-        stack = list(tree_nodes)
-        while stack:
-            w = stack.pop()
-            for e in inn2[w]:
-                if e in deleted:
-                    continue
+    def pick(i, k):
+        """(i, k) of the first candidate from in_ids[k] on, or None.
+
+        in_ids[k] enters order[i]; the scan goes on through later tree nodes.
+        """
+        while True:
+            end = in_start[order[i] + 1]
+            while k < end:
+                e = in_ids[k]
                 u = tail[e]
-                if u not in reached:
-                    reached.add(u)
-                    stack.append(u)
-        return len(reached) == n_active
+                if not in_tree[u] and prio[u] != e and not excluded[e]:
+                    return i, k
+                k += 1
+            i += 1
+            if i == len(order):
+                return None
+            k = in_start[order[i]]
 
-    def pick():
-        for w in tree_order:
-            for e in inn2[w]:
-                if e not in deleted and tail[e] not in tree_nodes:
-                    return e
-        return None
-
-    def rec():
-        if len(tree_nodes) == n_active:
-            yield dict(tree)
+    # at is where the next pick scans from, None while backing up; a frame
+    # (i, k, included) holds the edge picked at in_ids[k] and its branch.
+    frames = []
+    at = (0, in_start[ri]) if _tree_toward(g, order, prio, excluded)[1] == n_active else None
+    while True:
+        if at is not None and len(order) == n_active:
+            yield tree
+            at = None
+        if at is not None:
+            at = pick(*at)
+        if at is not None:  # include the picked edge
+            e = in_ids[at[1]]
+            u = tail[e]
+            tree[u] = e
+            in_tree[u] = 1
+            order.append(u)
+            frames.append((*at, True))
+            continue
+        if not frames:
             return
-        e = pick()
-        if e is None:
-            return
-        u = tail[e]
-        tree[u] = e
-        tree_nodes.add(u)
-        tree_order.append(u)
-        yield from rec()
-        tree_order.pop()
-        tree_nodes.remove(u)
-        del tree[u]
-        deleted.add(e)
-        if extendable():
-            yield from rec()
-        deleted.remove(e)
-
-    if extendable():
-        yield from rec()
+        i, k, included = frames.pop()
+        if included:  # take it out again and exclude it
+            in_tree[order.pop()] = 0
+            excluded[in_ids[k]] = 1
+            frames.append((i, k, False))
+            if _tree_toward(g, order, prio, excluded)[1] == n_active:
+                at = (i, k)
+        else:
+            excluded[in_ids[k]] = 0

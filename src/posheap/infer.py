@@ -29,7 +29,7 @@ from .errors import (
     NoSuchChild,
 )
 from .heap import Alphabet, build_position_heap, is_valid_text
-from .sketch import HeapSketch, label_iso_map, numbered_shape_equal, tree_equal
+from .sketch import HeapSketch, label_iso_map, numbered_shape_equal, shape_codes, tree_equal
 from .trace import (
     build_trace_graph,
     compute_sigma,
@@ -250,22 +250,6 @@ def enum_p3(s: HeapSketch):
 # --- problem 4: links only ---------------------------------------------------
 
 
-def _p4_canonical(s: HeapSketch, alphabet: Alphabet):
-    """Propagate the canonical assignment; None when links reject it."""
-    if s.links is None:
-        raise ValueError("problem 4 needs a link map")
-    roots = s.children[s.root]
-    if len(roots) > len(alphabet):
-        raise AlphabetTooSmall(
-            "root has %d children, alphabet only %d letters" % (len(roots), len(alphabet))
-        )
-    assignment = {c: alphabet.letters[i] for i, c in enumerate(roots)}
-    try:
-        return propagate_labels(s, assignment)
-    except LinkInconsistent:
-        return None
-
-
 def _match_p4(s: HeapSketch, labeled: HeapSketch, text: str):
     """Problem-3 match plus the links must agree under the iso."""
     matched = _match_p3(labeled, text)
@@ -278,30 +262,36 @@ def _match_p4(s: HeapSketch, labeled: HeapSketch, text: str):
     return iso
 
 
-def infer_p4(s: HeapSketch, alphabet: Alphabet) -> Inferred | None:
-    labeled = _p4_canonical(s, alphabet)
-    if labeled is None:
+def _solve_p4(s: HeapSketch, alphabet: Alphabet):
+    """(labeled sketch, trace graph, Inferred) for a links-only sketch, or None.
+
+    The labels come from the canonical root assignment, the alphabet's
+    letters in root-child order; None when the links reject it or no text
+    matches s.
+    """
+    if s.links is None:
+        raise ValueError("problem 4 needs a link map")
+    roots = s.children[s.root]
+    if len(roots) > len(alphabet):
+        raise AlphabetTooSmall(
+            "root has %d children, alphabet only %d letters" % (len(roots), len(alphabet))
+        )
+    try:
+        labeled = propagate_labels(s, {c: alphabet.letters[i] for i, c in enumerate(roots)})
+    except LinkInconsistent:
         return None
     tg, found = _solve_p3(labeled)
-    if found is None:
+    if found is None or _match_p4(s, labeled, found.text) is None:
         return None
-    if _match_p4(s, labeled, found.text) is None:
+    return labeled, tg, found
+
+
+def infer_p4(s: HeapSketch, alphabet: Alphabet) -> Inferred | None:
+    solved = _solve_p4(s, alphabet)
+    if solved is None:
         return None
+    labeled, _tg, found = solved
     return Inferred(found.text, found.numbering, dict(labeled.label))
-
-
-def _shape_code(s: HeapSketch, top) -> str:
-    """Canonical parenthesis code of the subtree under top, labels ignored."""
-    code = {}
-    stack = [(top, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            code[v] = "(" + "".join(sorted(code[c] for c in s.children[v])) + ")"
-        else:
-            stack.append((v, True))
-            stack.extend((c, False) for c in s.children[v])
-    return code[top]
 
 
 def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
@@ -313,9 +303,10 @@ def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
     """
     roots = s.children[s.root]
     assignment0 = {c: alphabet.letters[i] for i, c in enumerate(roots)}
+    codes = shape_codes(s)
     groups = {}
     for c in roots:
-        groups.setdefault(_shape_code(s, c), []).append(c)
+        groups.setdefault(codes[c], []).append(c)
     group_lists = list(groups.values())
     symmetries = []
     for combo in product(*(permutations(g) for g in group_lists)):
@@ -335,12 +326,10 @@ def count_p4(s: HeapSketch, alphabet: Alphabet) -> int:
     labeled trees and therefore spell the same texts, so the assignment
     factor divides by the number of such automorphisms at the root.
     """
-    labeled = _p4_canonical(s, alphabet)
-    if labeled is None:
+    solved = _solve_p4(s, alphabet)
+    if solved is None:
         return 0
-    tg, found = _solve_p3(labeled)
-    if found is None or _match_p4(s, labeled, found.text) is None:
-        return 0
+    labeled, tg, _found = solved
     base = count_ecp(tg.graph, tg.priority, tg.root)
     k = len(s.children[s.root])
     sym = len(_root_symmetries(s, labeled, alphabet))
@@ -351,12 +340,10 @@ def count_p4(s: HeapSketch, alphabet: Alphabet) -> int:
 
 def enum_p4(s: HeapSketch, alphabet: Alphabet):
     """Distinct texts, streamed: orbit-minimal assignments times cycles."""
-    labeled0 = _p4_canonical(s, alphabet)
-    if labeled0 is None:
+    solved = _solve_p4(s, alphabet)
+    if solved is None:
         return
-    _tg, found = _solve_p3(labeled0)
-    if found is None or _match_p4(s, labeled0, found.text) is None:
-        return
+    labeled0 = solved[0]
     symmetries = _root_symmetries(s, labeled0, alphabet)
     roots = s.children[s.root]
     k = len(roots)

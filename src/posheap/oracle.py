@@ -11,23 +11,9 @@ from itertools import product
 
 from .errors import CapExceeded, UnlabeledInput
 from .heap import Alphabet, build_position_heap, is_valid_text
-from .sketch import HeapSketch, label_iso_map, numbered_shape_equal, tree_equal
+from .sketch import HeapSketch, label_iso_map, numbered_shape_equal, shape_codes, tree_equal
 
 _WORK_CAP = 10**7
-
-
-def _shape_codes(s: HeapSketch) -> dict:
-    """Label-free canonical parenthesis code per subtree."""
-    codes = {}
-    stack = [(s.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            codes[v] = "(" + "".join(sorted(codes[c] for c in s.children[v])) + ")"
-        else:
-            stack.append((v, True))
-            stack.extend((c, False) for c in s.children[v])
-    return codes
 
 
 def _link_iso_exists(x: HeapSketch, y: HeapSketch) -> bool:
@@ -38,7 +24,7 @@ def _link_iso_exists(x: HeapSketch, y: HeapSketch) -> bool:
     """
     if x.n != y.n:
         return False
-    cx, cy = _shape_codes(x), _shape_codes(y)
+    cx, cy = shape_codes(x), shape_codes(y)
     if cx[x.root] != cy[y.root]:
         return False
     mapping = {x.root: y.root}

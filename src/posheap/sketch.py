@@ -214,6 +214,23 @@ def label_iso_map(x: HeapSketch, y: HeapSketch):
     return mapping
 
 
+def shape_codes(s: HeapSketch) -> dict:
+    """Label-free canonical parenthesis code of the subtree under each node.
+
+    Two subtrees have the same shape exactly when their codes are equal.
+    """
+    codes = {}
+    stack = [(s.root, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            codes[v] = "(" + "".join(sorted(codes[c] for c in s.children[v])) + ")"
+        else:
+            stack.append((v, True))
+            stack.extend((c, False) for c in s.children[v])
+    return codes
+
+
 def numbered_shape_equal(x: HeapSketch, y: HeapSketch) -> bool:
     """Shape equality under numberings, ignoring labels entirely."""
     if not (x.is_numbered and y.is_numbered):

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -219,7 +220,21 @@ def test_p3_empty():
 
 def test_p3_enum_deterministic():
     s = sk("abaababc", numbered=False, labeled=True, links=False)
-    assert list(enum_p3(s)) == list(enum_p3(s))
+    assert list(enum_p3(s)) == list(enum_p3(s)) == [
+        "aaabbabc", "aabbaabc", "abaababc", "ababaabc", "baaababc", "baabaabc",
+    ]
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_enum_streams_long_texts(n):
+    # the arborescence walk and the ordering steps must not recurse per node
+    text = rnd_text(random.Random(n), "abc", n)
+    labeled = sk(text, numbered=False, labeled=True, links=False)
+    first = list(islice(enum_p3(labeled), 5))
+    assert len(set(first)) == 5
+    assert all(text_matches(t, labeled, 3) for t in first)
+    linked = sk(text, numbered=False, labeled=False, links=True)
+    assert len(set(islice(enum_p4(linked, ABC), 5))) == 5
 
 
 # --- problem 4 ----------------------------------------------------------------
