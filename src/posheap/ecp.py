@@ -11,8 +11,9 @@ solve_ecp finds one respecting cycle (or reports none), count_ecp counts
 them all exactly, enumerate_ecp streams every one of them without
 duplicates.  Counting is BEST-theorem style, adjusted for priorities by
 removing priority edges from both the free orderings and the spanning-tree
-sum; the arborescence total is a weighted matrix-tree determinant evaluated
-fraction-free over Python ints, so counts are exact at any size.
+sum.  The arborescence total is a weighted matrix-tree determinant, taken
+by sparse elimination in least-fill order modulo a prime above a bound on
+it, so counts are exact at any size.
 
 The solvers work on integers only.  A Multigraph numbers its nodes and its
 edges in construction order and keeps flat lists indexed by those numbers;
@@ -35,8 +36,9 @@ lexicographic permutation, the last node fastest.
 """
 
 from collections.abc import Set
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 
 
 class Multigraph:
@@ -465,7 +467,7 @@ def count_ecp(g: Multigraph, f, r) -> int:
 
     BEST-style product over the priority-free graph: free departure
     orderings per node (parallel copies collapsed) times the weighted count
-    of arborescences toward r, the latter via the matrix-tree determinant.
+    of arborescences toward r, the latter a matrix-tree determinant.
     """
     prepared = _prepare(g, f, r)
     if prepared is None:
@@ -476,7 +478,6 @@ def count_ecp(g: Multigraph, f, r) -> int:
     active = _active(g)
     out2 = [[e for e in g.out_edges(v) if e != p] for v, p in enumerate(prio)]
     mult = g.mult
-
     deg = [sum(mult[e] for e in es) for es in out2]
     # After demotion every edge-touching node keeps a priority-free
     # out-edge, so degrees are positive whenever balance held.
@@ -486,55 +487,70 @@ def count_ecp(g: Multigraph, f, r) -> int:
         num *= factorial(deg[v] - 1)
         for e in out2[v]:
             den *= factorial(mult[e])
-    total = num * _arborescence_sum(g, active, out2, ri)
+    total = num * _arborescence_sum(g, active, out2, deg, ri)
     assert total % den == 0, "count lost exactness, which cannot happen"
     return total // den
 
 
-def _arborescence_sum(g: Multigraph, active, out2, ri):
+_MERSENNE = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213,
+             19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433, 1257787)
+
+
+def _arborescence_sum(g: Multigraph, active, out2, deg, ri):
     """Sum over arborescences toward ri of the product of edge weights.
 
-    The determinant of the weighted Laplacian of out2 with ri's row and
-    column left out, rows and columns in active order.
+    That is the determinant of the weighted Laplacian of out2 without ri's
+    row and column, at most the product of the degrees deg (an arborescence
+    picks one out-edge per node), so it is exact modulo the first Mersenne
+    prime 2**p - 1, p in _MERSENNE, above that bound with no zero pivot.
     """
-    idx = {v: i for i, v in enumerate(v for v in active if v != ri)}
-    minor = [[0] * len(idx) for _ in idx]
-    for v, i in idx.items():
-        for e in out2[v]:
-            w = g.mult[e]
-            minor[i][i] += w
-            j = idx.get(g.head[e])
-            if j is not None:
-                minor[i][j] -= w
-    value = _det_bareiss(minor)
-    assert value >= 0
-    return value
+    bound = prod(deg[v] for v in active) // deg[ri]
+    for q in [(1 << p) - 1 for p in _MERSENNE if p > bound.bit_length()]:
+        rows = {v: {g.head[e]: -g.mult[e] for e in out2[v] if g.head[e] != ri} | {v: deg[v]}
+                for v in active if v != ri}
+        value = _det_sparse(rows, q)
+        if value is not None:
+            assert 0 < value <= bound, "every node reaches ri, so an arborescence exists"
+            return value
+    raise OverflowError("no prime above a bound of %d bits" % bound.bit_length())
 
 
-def _det_bareiss(m):
-    """Exact integer determinant, fraction-free Bareiss elimination."""
-    size = len(m)
-    if size == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
+def _det_sparse(rows, q):
+    """Determinant modulo the prime q of sparse rows, or None if a pivot is 0.
+
+    rows[i] maps column j to entry (i, j), diagonal included; rows is used
+    up.  Pivots go by least Markowitz cost, the row's off-diagonal entries
+    times the other rows with an entry in the column, refreshed lazily.
+    """
+    cols = {v: set() for v in rows}  # cols[j]: the other rows with an entry at j
+    for i, row in rows.items():
+        for j in row.keys() - {i}:
+            cols[j].add(i)
+    queue = [((len(row) - 1) * len(cols[v]), v) for v, row in rows.items()]
+    heapify(queue)
+    det = 1
+    while queue:
+        c, k = heappop(queue)
+        now = (len(rows[k]) - 1) * len(cols[k])
+        if now > c:
+            heappush(queue, (now, k))
+            continue
+        pivot_row = rows.pop(k)
+        pivot = pivot_row.pop(k) % q
+        if not pivot:
+            return None
+        det = det * pivot % q
+        inv = pow(pivot, -1, q)
+        for j in pivot_row:
+            cols[j].discard(k)
+        for i in cols.pop(k):
+            row = rows[i]
+            f = row.pop(k) * inv % q
+            for j, a in pivot_row.items():
+                if j not in row:
+                    cols[j].add(i)
+                row[j] = (row.get(j, 0) - f * a) % q
+    return det
 
 
 def enumerate_ecp(g: Multigraph, f, r):

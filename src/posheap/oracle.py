@@ -19,37 +19,41 @@ _WORK_CAP = 10**7
 def _link_iso_exists(x: HeapSketch, y: HeapSketch) -> bool:
     """Root-preserving tree isomorphism that also carries links onto links.
 
-    Plain backtracking over shape-compatible sibling matchings; link
-    consistency is checked once a full mapping is on the table.
+    Backtracking over shape-compatible sibling matchings in node order, on
+    an explicit stack; each link is checked once both its ends are mapped.
     """
     if x.n != y.n:
         return False
     cx, cy = shape_codes(x), shape_codes(y)
     if cx[x.root] != cy[y.root]:
         return False
+    order = [v for v in x.nodes() if v != x.root]
+    level = {v: i for i, v in enumerate(order)}
+    settled = [[] for _ in order]  # settled[i]: links with both ends mapped from level i on
+    for v, t in x.links.items():
+        settled[max(level.get(v, 0), level.get(t, 0))].append(v)
     mapping = {x.root: y.root}
     taken = {y.root}
-    order = [v for v in x.nodes() if v != x.root]
-
-    def final_ok() -> bool:
-        return all(mapping[x.links[v]] == y.links.get(mapping[v]) for v in x.links)
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return final_ok()
+    tried = [0] * len(order)  # tried[i]: candidates for order[i] used up so far
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
-        for w in y.children[mapping[x.parent[v]]]:
-            if w in taken or cy[w] != cx[v]:
-                continue
-            mapping[v] = w
-            taken.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            taken.discard(w)
-        return False
-
-    return extend(0)
+        taken.discard(mapping.pop(v, None))  # undo this level's last choice
+        kids = y.children[mapping[x.parent[v]]]
+        for k in range(tried[i], len(kids)):
+            w = kids[k]
+            if w not in taken and cy[w] == cx[v]:
+                mapping[v] = w
+                if all(mapping[x.links[u]] == y.links.get(mapping[u]) for u in settled[i]):
+                    taken.add(w)
+                    tried[i] = k + 1
+                    i += 1
+                    break
+                del mapping[v]
+        else:
+            tried[i] = 0  # given up: the level starts afresh when next reached
+            i -= 1
+    return i == len(order)
 
 
 def _matches(built, s: HeapSketch, kind: int) -> bool:

@@ -6,6 +6,7 @@ backtracking.  Slow on purpose.
 """
 
 from itertools import product
+from math import factorial
 
 
 def naive_heap(text: str):
@@ -131,3 +132,76 @@ def random_soup(rng, max_nodes: int = 5, max_arcs: int = 8):
         if u != v:
             gamma[(u, v)] = gamma.get((u, v), 0) + 1
     return gamma, random_priorities(rng, gamma), 0
+
+
+def det_bareiss(m):
+    """Exact integer determinant, fraction-free Bareiss elimination (dense, cubic)."""
+    size = len(m)
+    if size == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, size):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[size - 1][size - 1]
+
+
+def best_count(gamma: dict, f, r):
+    """Respecting Eulerian cycles from r by the BEST theorem, on a dense minor.
+
+    Priority edges that are their tail's only out-edge lose priority; the
+    others leave both the free departure orderings and the arborescences.
+    The arborescence sum is the Bareiss determinant of the Laplacian minor
+    of the remaining edges, rows and columns in order of first appearance.
+    """
+    if not gamma:
+        return 1
+    out = {}
+    balance = {}
+    for (u, v), m in gamma.items():
+        out.setdefault(u, []).append((u, v))
+        balance[u] = balance.get(u, 0) + m
+        balance[v] = balance.get(v, 0) - m
+    if r not in balance or any(balance.values()):
+        return 0
+    kept = {u: [e for e in es if e not in f or len(es) == 1] for u, es in out.items()}
+    seen = {r}
+    todo = [r]
+    while todo:  # who reaches r over kept edges
+        w = todo.pop()
+        for u, es in kept.items():
+            if u not in seen and any(v == w for _, v in es):
+                seen.add(u)
+                todo.append(u)
+    if len(seen) != len(balance):
+        return 0
+    deg = {u: sum(gamma[e] for e in es) for u, es in kept.items()}
+    index = {v: i for i, v in enumerate(v for v in balance if v != r)}
+    minor = [[0] * len(index) for _ in index]
+    for u, i in index.items():
+        for _, v in kept[u]:
+            minor[i][i] += gamma[(u, v)]
+            if v in index:
+                minor[i][index[v]] -= gamma[(u, v)]
+    num = deg[r] * det_bareiss(minor)
+    den = 1
+    for u, es in kept.items():
+        num *= factorial(deg[u] - 1)
+        for e in es:
+            den *= factorial(gamma[e])
+    assert num % den == 0
+    return num // den

@@ -3,16 +3,29 @@ import random
 import pytest
 
 from posheap import (
+    Alphabet,
     EulerCycle,
     Multigraph,
+    build_position_heap,
+    build_trace_graph,
     check_eulerian,
+    compute_sigma,
     count_ecp,
     demote_priorities,
     enumerate_ecp,
     is_valid_cycle,
+    random_valid_text,
+    reconstruct_suffix_links,
     solve_ecp,
 )
-from helpers import brute_ecp_cycles, random_soup, random_walk_instance
+from posheap import ecp
+from helpers import (
+    best_count,
+    brute_ecp_cycles,
+    random_priorities,
+    random_soup,
+    random_walk_instance,
+)
 
 
 def graph(gamma, nodes=()):
@@ -166,3 +179,81 @@ def test_counts_stay_exact_with_parallel_bundles():
     gamma = {("r", "x"): 6, ("x", "r"): 6, ("r", "y"): 2, ("y", "r"): 2}
     g = graph(gamma)
     assert count_ecp(g, set(), "r") == len(brute_ecp_cycles(gamma, set(), "r"))
+
+
+# --- the determinant at sizes where its elimination order matters -------------
+
+
+def _fat_walk(rng, size, steps):
+    """A closed random walk from 0 over size nodes; some of its loops run again."""
+    walk = [0]
+    for _ in range(steps):
+        walk.append((walk[-1] + rng.randrange(1, size)) % size)
+    if walk[-1] != 0:
+        walk.append(0)
+    for _ in range(steps // 5):
+        i = rng.randrange(len(walk))
+        j = next((j for j in range(i + 1, min(len(walk), i + 60)) if walk[j] == walk[i]), None)
+        if j is not None:
+            walk[j:j] = walk[i:j]
+    gamma = {}
+    for e in zip(walk, walk[1:]):
+        gamma[e] = gamma.get(e, 0) + 1
+    return gamma
+
+
+def _cycle_soup(rng, size):
+    """One cycle through all size nodes plus short cycles, some run 2 or 3 times."""
+    gamma = {}
+    rings = [rng.sample(range(size), size)]
+    rings += [rng.sample(range(size), rng.randint(2, 6)) for _ in range(size // 2)]
+    for ring in rings:
+        times = rng.choice((1, 1, 2, 3))
+        for e in zip(ring, ring[1:] + ring[:1]):
+            gamma[e] = gamma.get(e, 0) + times
+    return gamma
+
+
+def test_count_matches_dense_reference_on_large_instances():
+    rng = random.Random(20261020)
+    sizes, fat, positive = [], 0, 0
+    for size in (20, 40, 80, 140, 250):
+        for gamma in (_fat_walk(rng, size, 3 * size), _cycle_soup(rng, size)):
+            g = graph(gamma)
+            sizes.append(len(g.active_nodes()))
+            fat += sum(m > 1 for m in gamma.values())
+            for f in (set(), random_priorities(rng, gamma)):
+                want = best_count(gamma, f, 0)
+                assert count_ecp(g, f, 0) == want
+                positive += want > 0
+    assert min(sizes) <= 20 and max(sizes) >= 240
+    assert fat > 100 and positive >= 18
+
+
+def test_count_matches_dense_reference_on_trace_graphs():
+    rng = random.Random(7)
+    for n, letters in [(100, "abc"), (140, "abcde"), (180, "abc"), (220, "abcd"), (300, "abc")]:
+        text = random_valid_text(rng, Alphabet(letters), n)
+        s = build_position_heap(text).to_sketch(numbered=False, labeled=True, links=False)
+        links = reconstruct_suffix_links(s)
+        tg = build_trace_graph(s, links, compute_sigma(s, links))
+        got = count_ecp(tg.graph, tg.priority, tg.root)
+        assert got >= 1
+        assert got == best_count(tg.graph.gamma, set(tg.priority), tg.root)
+
+
+def test_vanishing_pivot_moves_to_next_prime(monkeypatch):
+    rows = {0: {0: 3, 1: -1}, 1: {0: -1, 1: 2}}  # determinant 5
+    assert ecp._det_sparse({v: dict(r) for v, r in rows.items()}, 3) is None
+    assert ecp._det_sparse({v: dict(r) for v, r in rows.items()}, 7) == 5
+    tried = []
+
+    def first_prime_fails(rows, q):
+        tried.append(q)
+        return None if len(tried) == 1 else real(rows, q)
+
+    real = ecp._det_sparse
+    monkeypatch.setattr(ecp, "_det_sparse", first_prime_fails)
+    g = graph(TRIANGLE)
+    assert count_ecp(g, set(), "a") == len(brute_ecp_cycles(TRIANGLE, set(), "a"))
+    assert tried == [2**61 - 1, 2**89 - 1]

@@ -237,6 +237,21 @@ def test_enum_streams_long_texts(n):
     assert len(set(islice(enum_p4(linked, ABC), 5))) == 5
 
 
+# count_p3 and count_p4 of rnd_text(random.Random(1000), "abc", 1000), recorded
+# from the dense Bareiss determinant that the counter used before
+P3_COUNT_1000 = 997527145221564657823801779601792128230264470414321219983907366109184
+P4_COUNT_1000 = 5985162871329387946942810677610752769381586822485927319903444196655104
+
+
+def test_count_long_texts():
+    text = rnd_text(random.Random(1000), "abc", 1000)
+    assert count_p3(sk(text, numbered=False, labeled=True, links=False)) == P3_COUNT_1000
+    assert count_p4(sk(text, numbered=False, labeled=False, links=True), ABC) == P4_COUNT_1000
+    text = rnd_text(random.Random(3000), "abc", 3000)
+    assert count_p3(sk(text, numbered=False, labeled=True, links=False)) >= 1
+    assert count_p4(sk(text, numbered=False, labeled=False, links=True), ABC) >= 1
+
+
 # --- problem 4 ----------------------------------------------------------------
 
 
@@ -325,3 +340,18 @@ def test_p4_empty():
 def test_p4_enum_deterministic():
     s = sk("abaac", numbered=False, labeled=False, links=True)
     assert list(enum_p4(s, ABC)) == list(enum_p4(s, ABC))
+
+
+@pytest.mark.parametrize("n", [1200, 3000])
+def test_p4_oracle_long_texts(n):
+    # the link-preserving isomorphism search must not recurse per node, and a
+    # wrong link must end the search early rather than after every mapping
+    text = rnd_text(random.Random(n), "abc", n)
+    s = sk(text, numbered=False, labeled=False, links=True)
+    assert text_matches(text, s, 4)
+    rng = random.Random(n)
+    links = dict(s.links)
+    for victim in rng.sample(sorted(links), 3):
+        moved = dict(links)
+        moved[victim] = rng.choice([v for v in s.nodes() if v not in (victim, links[victim])])
+        assert not text_matches(text, s.with_links(moved), 4)
