@@ -16,6 +16,8 @@ from .errors import (
     CapExceeded,
     FormatError,
     InvalidText,
+    NegativeSigma,
+    NoSuchChild,
     UnknownLetter,
     UnlabeledInput,
 )
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except BrokenPipeError:
         return 0
-    except InvalidText as exc:
+    except (InvalidText, NoSuchChild, NegativeSigma) as exc:
         print("invalid: %s" % exc, file=sys.stderr)
         return 1
     except (FormatError, UnknownLetter, UnlabeledInput, AlphabetTooSmall, CapExceeded, _Usage, ValueError) as exc:

@@ -160,14 +160,8 @@ def enum_p2(s: HeapSketch, alphabet: Alphabet):
     if infer_p2(s, alphabet) is None:
         return
     _, anchors = _root_anchor_positions(s)
-    first = True
     for chosen in permutations(alphabet.letters, k):
-        text = "".join(chosen[a] for a in anchors)
-        if first:
-            built = build_position_heap(text)
-            assert numbered_shape_equal(built.to_sketch(labeled=False, links=False), s)
-            first = False
-        yield text
+        yield "".join(chosen[a] for a in anchors)
 
 
 # --- problem 3: labels only --------------------------------------------------
@@ -267,7 +261,7 @@ def _solve_p4(s: HeapSketch, alphabet: Alphabet):
 
     The labels come from the canonical root assignment, the alphabet's
     letters in root-child order; None when the links reject it or no text
-    matches s.
+    matches s.  The answer is checked once, by _match_p4.
     """
     if s.links is None:
         raise ValueError("problem 4 needs a link map")
@@ -280,7 +274,7 @@ def _solve_p4(s: HeapSketch, alphabet: Alphabet):
         labeled = propagate_labels(s, {c: alphabet.letters[i] for i, c in enumerate(roots)})
     except LinkInconsistent:
         return None
-    tg, found = _solve_p3(labeled)
+    tg, found = _solve_p3(labeled, verify=False)
     if found is None or _match_p4(s, labeled, found.text) is None:
         return None
     return labeled, tg, found
@@ -298,8 +292,10 @@ def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
     """Root-child permutations that extend to shape+link automorphisms.
 
     Tested by relabeling: rho qualifies iff permuting the canonical root
-    letters by rho propagates to a labeled tree isomorphic to the canonical
-    one.  Candidates only need trying within groups of equal subtree shape.
+    letters by rho gives a labeled tree isomorphic to the canonical one.
+    Labels propagate by copying down from link targets, so that tree is
+    labeled0 with its letters renamed, and no candidate propagates again.
+    Candidates only need trying within groups of equal subtree shape.
     """
     roots = s.children[s.root]
     assignment0 = {c: alphabet.letters[i] for i, c in enumerate(roots)}
@@ -313,7 +309,8 @@ def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
         rho = {}
         for original, permuted in zip(group_lists, combo):
             rho.update(zip(original, permuted))
-        relabeled = propagate_labels(s, {c: assignment0[rho[c]] for c in roots})
+        rename = {assignment0[c]: assignment0[rho[c]] for c in roots}
+        relabeled = labeled0.with_labels({v: rename[c] for v, c in labeled0.label.items()})
         if tree_equal(relabeled, labeled0, respect_numbers=False):
             symmetries.append(rho)
     return symmetries
@@ -339,34 +336,32 @@ def count_p4(s: HeapSketch, alphabet: Alphabet) -> int:
 
 
 def enum_p4(s: HeapSketch, alphabet: Alphabet):
-    """Distinct texts, streamed: orbit-minimal assignments times cycles."""
+    """Distinct texts, streamed: orbit-minimal assignments times cycles.
+
+    One trace graph serves every assignment.  Its edges, multiplicities
+    and priorities follow from the shape and the links alone (the links
+    reconstructed from labeled0 equal s.links once _match_p4 has passed),
+    and the labeling for an assignment is the canonical one with its
+    letters renamed.  So each assignment spells the canonical texts, renamed.
+    """
     solved = _solve_p4(s, alphabet)
     if solved is None:
         return
-    labeled0 = solved[0]
+    labeled0, tg, _found = solved
     symmetries = _root_symmetries(s, labeled0, alphabet)
     roots = s.children[s.root]
-    k = len(roots)
-    links = dict(s.links)
-    sigma = compute_sigma(s, links)
+    canonical = alphabet.letters[: len(roots)]
     first = True
-    for chosen in permutations(alphabet.letters, k):
+    for chosen in permutations(alphabet.letters, len(roots)):
         base = tuple(alphabet.index(c) for c in chosen)
         pi = dict(zip(roots, chosen))
-        minimal = True
-        for rho in symmetries:
-            acted = tuple(alphabet.index(pi[rho[c]]) for c in roots)
-            if acted < base:
-                minimal = False
-                break
-        if not minimal:
+        if any(tuple(alphabet.index(pi[rho[c]]) for c in roots) < base for rho in symmetries):
             continue
-        labeled = propagate_labels(s, pi)
-        tg = build_trace_graph(labeled, links, sigma)
+        rename = str.maketrans(canonical, "".join(chosen))
         for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
-            text, _numbering = read_text_from_cycle(tg, cycle)
-            if first:
-                if _match_p4(s, labeled, text) is None:
+            text = read_text_from_cycle(tg, cycle)[0].translate(rename)
+            if first:  # canonical assignment, checked against labeled0 as is
+                if _match_p4(s, labeled0, text) is None:
                     raise RuntimeError("enumerated text failed verification: %r" % text)
                 first = False
             yield text

@@ -72,6 +72,8 @@ def _matches(built, s: HeapSketch, kind: int) -> bool:
 
 def text_matches(text: str, s: HeapSketch, kind: int) -> bool:
     """True iff the heap of text matches s under the given problem's rule."""
+    if kind == 4 and s.links is None:
+        raise ValueError("problem 4 needs a link map")
     return is_valid_text(text) and _matches(build_position_heap(text), s, kind)
 
 

@@ -239,6 +239,11 @@ def test_verify_respects_problem_kind(capsys):
     assert code == 1
 
 
+def test_verify_links_problem_needs_links(capsys):
+    code, _, err = run(capsys, "verify", LABELED, "abaababc", "-p", "4")
+    assert code == 2 and "link map" in err
+
+
 # export-dot
 
 
@@ -257,6 +262,34 @@ def test_export_dot_output_file(capsys, tmp_path):
     code, out, _ = run(capsys, "export-dot", LINKS, "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph")
+
+
+def test_export_dot_trace_missing_child_is_invalid(capsys, tmp_path):
+    # the link of v would be the b-child of the root, which does not exist
+    doc = tmp_path / "nochild.pht"
+    doc.write_text(
+        "pht 1\n"
+        "flags numbered=no labeled=yes links=no\n"
+        "root r\n"
+        "edge r u a\n"
+        "edge u v b\n"
+    )
+    code, out, err = run(capsys, "export-dot", str(doc), "--trace")
+    assert code == 1 and out == "" and err.startswith("invalid:")
+
+
+def test_export_dot_trace_negative_sigma_is_invalid(capsys, tmp_path):
+    # c and d both link to the leaf a, which only one walk step can leave
+    doc = tmp_path / "negsigma.pht"
+    doc.write_text(
+        "pht 1\n"
+        "flags numbered=no labeled=no links=yes\n"
+        "root r\n"
+        "edge r a -\nedge r b -\nedge r x -\nedge b c -\nedge x d -\n"
+        "slink a r\nslink b r\nslink x r\nslink c a\nslink d a\n"
+    )
+    code, out, err = run(capsys, "export-dot", str(doc), "--trace")
+    assert code == 1 and out == "" and err.startswith("invalid:")
 
 
 # oracle

@@ -355,3 +355,67 @@ def test_p4_oracle_long_texts(n):
         moved = dict(links)
         moved[victim] = rng.choice([v for v in s.nodes() if v not in (victim, links[victim])])
         assert not text_matches(text, s.with_links(moved), 4)
+
+
+# the exact enum_p4 emission order for the links of "aaabac": three
+# orbit-minimal assignments (the root's two equal-shaped subtrees swap),
+# four cycles each, assignment-major
+P4_PINNED = [
+    "aaacab", "aacaab", "aaabac", "aabaac",
+    "bbbcba", "bbcbba", "bbbabc", "bbabbc",
+    "cccbca", "ccbcca", "cccacb", "ccaccb",
+]
+
+
+def test_p4_enum_order_pinned():
+    s = sk("aaabac", numbered=False, labeled=False, links=True)
+    assert list(enum_p4(s, ABC)) == P4_PINNED
+    assert count_p4(s, ABC) == len(P4_PINNED)
+    assert count_p4(s, Alphabet("abcd")) == 48
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_p4_builds_each_stage_once(monkeypatch):
+    # one labeling, one trace graph and one heap rebuild per call; every other
+    # root assignment only renames letters
+    import posheap.infer
+
+    s = sk("aaabac", numbered=False, labeled=False, links=True)
+    names = ("build_position_heap", "build_trace_graph", "propagate_labels")
+    calls = _count_calls(monkeypatch, posheap.infer, names)
+    assert infer_p4(s, ABC) is not None
+    assert calls["build_position_heap"] == 1
+    calls.update(dict.fromkeys(names, 0))
+    assert count_p4(s, ABC) == 12
+    assert calls["propagate_labels"] == 1
+    calls.update(dict.fromkeys(names, 0))
+    assert len(list(enum_p4(s, ABC))) == 12
+    assert calls["build_trace_graph"] == 1
+    assert calls["propagate_labels"] == 1
+
+
+def test_p4_oracle_needs_links():
+    bare = sk("abaababc", numbered=False, labeled=True, links=False)
+    with pytest.raises(ValueError, match="link map"):
+        text_matches("abaababc", bare, 4)
+
+
+def test_p4_equal_shapes_without_symmetry():
+    # the root's leaves b and c have equal shapes, but only b is the link
+    # target of a deeper node, so swapping them is no symmetry
+    s = sk("abac", numbered=False, labeled=False, links=True)
+    want = brute_force_texts(s, 4, ABC)
+    assert sorted(enum_p4(s, ABC)) == want
+    assert count_p4(s, ABC) == len(want) == 18
