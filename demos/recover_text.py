@@ -34,8 +34,8 @@ def main() -> int:
     tg = build_trace_graph(sketch, links, sigma)
     print("link arcs:     %d" % len(tg.links))
     print("tree arcs:     %d (multiplicities %s)" % (
-        len(tg.sigma),
-        sorted(tg.sigma.values(), reverse=True),
+        len(sigma),
+        sorted(sigma.values(), reverse=True),
     ))
     print("priority arcs: %d" % len(tg.priority))
 

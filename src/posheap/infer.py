@@ -8,27 +8,31 @@ sketch still carries:
   3  labels only          links, multiplicities and an Eulerian cycle
   4  links only           root assignment propagates labels, then as in 3
 
-Every solve path verifies by rebuilding the heap of the candidate text and
-comparing against the input at the right strictness; counts are only
-reported once the canonical solution has verified.  Each problem also has
-counting and streaming enumeration variants (except 1, whose answer is
-unique when it exists).
+Every solve path checks its answer once, in _matching_heap: the heap of
+the candidate text must be the input tree under a numbering (the sketch's
+own in 1 and 2, the one the cycle readout returns in 3 and 4), compared on
+parents and edge letters in 1 and 3, on parents only in 2, and on parents,
+the propagated letters and the links in 4, whatever else the sketch
+carries.  The readout's numbering is the unique label isomorphism whenever
+one exists, so 3 and 4 accept exactly the texts whose heap is isomorphic
+to the input.  Counts are only reported once the canonical solution has
+verified.  Each problem also has counting and streaming enumeration
+variants (except 1, whose answer is unique when it exists).
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
-from math import factorial
 
 from .ecp import count_ecp, enumerate_ecp, solve_ecp
 from .errors import (
     AlphabetTooSmall,
-    InvalidText,
     LinkInconsistent,
     NegativeSigma,
     NoSuchChild,
 )
 from .heap import Alphabet, build_position_heap, is_valid_text
+# label_iso_map and numbered_shape_equal stay here: perfbench/tracing.py wraps them by name
 from .sketch import HeapSketch, label_iso_map, numbered_shape_equal, shape_codes, tree_equal
 from .trace import (
     build_trace_graph,
@@ -74,47 +78,59 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-# --- problem 1: numbers and labels present ----------------------------------
+# --- the answer check -------------------------------------------------------
 
 
-def _first_letters(s: HeapSketch, labels: dict) -> dict:
-    """Per node, the first letter on its root path (roots get their own)."""
-    first = {}
-    for u, v, _ in s.edge_list:
-        first[v] = labels[v] if u == s.root else first[u]
-    return first
+def _matching_heap(s: HeapSketch, text: str, numbering: dict, labels=None, links=None):
+    """The heap of text if it is s under numbering, else None.
+
+    numbering maps every node of s to its heap node, a bijection onto
+    0..s.n for a text of length s.n.  Each node's parent must map to the
+    heap parent of its image.  Where the caller passes them, the edge
+    letter must also equal labels[v] and the image's suffix link must be
+    the image of links[v].  Compared as lists over s.layout() order.
+    """
+    if not is_valid_text(text):
+        return None
+    built = build_position_heap(text)
+    nodes, _, parent, _ = s.layout()
+    number = [numbering[v] for v in nodes]
+    mine, kids = number[1:], nodes[1:]
+    if [built.parent[h] for h in mine] != [number[p] for p in parent[1:]]:
+        return None
+    if labels is not None and [built.label[h] for h in mine] != [labels[v] for v in kids]:
+        return None
+    if links is not None and [built.slink[h] for h in mine] != [numbering[links[v]] for v in kids]:
+        return None
+    return built
 
 
-def _text_by_numbers(s: HeapSketch, first: dict) -> str:
-    byn = s.node_by_number()
-    return "".join(first[byn[i]] for i in range(1, s.n + 1))
+# --- problems 1 and 2: numbers present ---------------------------------------
+
+
+def _spell(s: HeapSketch, root_letter: dict) -> str:
+    """The text a numbered tree spells, one letter per root subtree.
+
+    Each node's position gets root_letter[c] for the root child c above it.
+    """
+    nodes, _, parent, _ = s.layout()
+    top = list(range(len(nodes)))  # top[i]: the root child above node i
+    out = [""] * len(nodes)
+    for i in range(1, len(nodes)):
+        if parent[i]:
+            top[i] = top[parent[i]]
+        out[s.numbering[nodes[i]]] = root_letter[nodes[top[i]]]
+    return "".join(out)
 
 
 def infer_p1(s: HeapSketch) -> Inferred | None:
     """The unique candidate text, or None if the sketch lies about itself."""
     if not (s.is_numbered and s.is_labeled):
         raise ValueError("problem 1 needs numbering and labels")
-    text = _text_by_numbers(s, _first_letters(s, s.label))
-    if not is_valid_text(text):
-        return None
-    built = build_position_heap(text)
-    if not tree_equal(built.to_sketch(labeled=True, links=False), s, respect_numbers=True):
+    text = _spell(s, s.label)
+    if _matching_heap(s, text, s.numbering, s.label) is None:
         return None
     return Inferred(text, dict(s.numbering), dict(s.label))
-
-
-# --- problem 2: numbers only -------------------------------------------------
-
-
-def _root_anchor_positions(s: HeapSketch):
-    """For each position 1..n, the index of the root child above its node."""
-    roots = s.children[s.root]
-    slot = {c: i for i, c in enumerate(roots)}
-    anchor = {}
-    for u, v, _ in s.edge_list:
-        anchor[v] = slot[v] if u == s.root else anchor[u]
-    byn = s.node_by_number()
-    return roots, [anchor[byn[i]] for i in range(1, s.n + 1)]
 
 
 def _p2_check(s: HeapSketch, alphabet: Alphabet):
@@ -128,14 +144,10 @@ def _p2_check(s: HeapSketch, alphabet: Alphabet):
 
 def infer_p2(s: HeapSketch, alphabet: Alphabet) -> Inferred | None:
     """Canonical root assignment (alphabet order along child order)."""
-    k = _p2_check(s, alphabet)
-    roots, anchors = _root_anchor_positions(s)
-    letters = alphabet.letters[:k]
-    text = "".join(letters[a] for a in anchors)
-    if not is_valid_text(text):
-        return None
-    built = build_position_heap(text)
-    if not numbered_shape_equal(built.to_sketch(labeled=False, links=False), s):
+    _p2_check(s, alphabet)
+    text = _spell(s, dict(zip(s.children[s.root], alphabet.letters)))
+    built = _matching_heap(s, text, s.numbering)
+    if built is None:
         return None
     byn = s.node_by_number()
     labels = {byn[i]: built.label[i] for i in range(1, s.n + 1)}
@@ -157,11 +169,12 @@ def count_p2(s: HeapSketch, alphabet: Alphabet) -> int:
 def enum_p2(s: HeapSketch, alphabet: Alphabet):
     """All texts, one per injective root assignment, lexicographic."""
     k = _p2_check(s, alphabet)
-    if infer_p2(s, alphabet) is None:
+    found = infer_p2(s, alphabet)
+    if found is None:
         return
-    _, anchors = _root_anchor_positions(s)
+    canonical = alphabet.letters[:k]
     for chosen in permutations(alphabet.letters, k):
-        yield "".join(chosen[a] for a in anchors)
+        yield found.text.translate(str.maketrans(canonical, "".join(chosen)))
 
 
 # --- problem 3: labels only --------------------------------------------------
@@ -183,17 +196,6 @@ def _p3_trace(s: HeapSketch):
     return build_trace_graph(s, links, sigma)
 
 
-def _match_p3(s: HeapSketch, text: str):
-    """Rebuild the heap of text and return the label iso onto s, or None."""
-    if not is_valid_text(text):
-        return None
-    built = build_position_heap(text)
-    iso = label_iso_map(built.to_sketch(numbered=False, labeled=True, links=False), s)
-    if iso is None:
-        return None
-    return built, iso
-
-
 def _solve_p3(s: HeapSketch, verify: bool = True):
     """(trace graph, Inferred | None) for a labeled sketch."""
     tg = _p3_trace(s)
@@ -203,7 +205,7 @@ def _solve_p3(s: HeapSketch, verify: bool = True):
     if cycle is None:
         return tg, None
     text, numbering = read_text_from_cycle(tg, cycle)
-    if verify and _match_p3(s, text) is None:
+    if verify and _matching_heap(s, text, numbering, s.label) is None:
         return tg, None
     return tg, Inferred(text, numbering, dict(s.label))
 
@@ -233,9 +235,9 @@ def enum_p3(s: HeapSketch):
         return
     first = True
     for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
-        text, _numbering = read_text_from_cycle(tg, cycle)
+        text, numbering = read_text_from_cycle(tg, cycle)
         if first:
-            if _match_p3(s, text) is None:
+            if _matching_heap(s, text, numbering, s.label) is None:
                 raise RuntimeError("enumerated text failed verification: %r" % text)
             first = False
         yield text
@@ -244,24 +246,12 @@ def enum_p3(s: HeapSketch):
 # --- problem 4: links only ---------------------------------------------------
 
 
-def _match_p4(s: HeapSketch, labeled: HeapSketch, text: str):
-    """Problem-3 match plus the links must agree under the iso."""
-    matched = _match_p3(labeled, text)
-    if matched is None:
-        return None
-    built, iso = matched
-    for v in range(1, built.n + 1):
-        if s.links.get(iso[v]) != iso[built.slink[v]]:
-            return None
-    return iso
-
-
 def _solve_p4(s: HeapSketch, alphabet: Alphabet):
     """(labeled sketch, trace graph, Inferred) for a links-only sketch, or None.
 
     The labels come from the canonical root assignment, the alphabet's
     letters in root-child order; None when the links reject it or no text
-    matches s.  The answer is checked once, by _match_p4.
+    matches s.  The answer is checked once, on s's links as well.
     """
     if s.links is None:
         raise ValueError("problem 4 needs a link map")
@@ -275,7 +265,9 @@ def _solve_p4(s: HeapSketch, alphabet: Alphabet):
     except LinkInconsistent:
         return None
     tg, found = _solve_p3(labeled, verify=False)
-    if found is None or _match_p4(s, labeled, found.text) is None:
+    if found is None:
+        return None
+    if _matching_heap(labeled, found.text, found.numbering, labeled.label, s.links) is None:
         return None
     return labeled, tg, found
 
@@ -340,9 +332,10 @@ def enum_p4(s: HeapSketch, alphabet: Alphabet):
 
     One trace graph serves every assignment.  Its edges, multiplicities
     and priorities follow from the shape and the links alone (the links
-    reconstructed from labeled0 equal s.links once _match_p4 has passed),
-    and the labeling for an assignment is the canonical one with its
-    letters renamed.  So each assignment spells the canonical texts, renamed.
+    reconstructed from labeled0 equal s.links once _solve_p4's check has
+    passed), and the labeling for an assignment is the canonical one with
+    its letters renamed.  So each assignment spells the canonical texts,
+    renamed.
     """
     solved = _solve_p4(s, alphabet)
     if solved is None:
@@ -359,9 +352,10 @@ def enum_p4(s: HeapSketch, alphabet: Alphabet):
             continue
         rename = str.maketrans(canonical, "".join(chosen))
         for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
-            text = read_text_from_cycle(tg, cycle)[0].translate(rename)
+            text, numbering = read_text_from_cycle(tg, cycle)
+            text = text.translate(rename)
             if first:  # canonical assignment, checked against labeled0 as is
-                if _match_p4(s, labeled0, text) is None:
+                if _matching_heap(labeled0, text, numbering, labeled0.label, s.links) is None:
                     raise RuntimeError("enumerated text failed verification: %r" % text)
                 first = False
             yield text

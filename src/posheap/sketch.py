@@ -52,7 +52,7 @@ class HeapSketch:
         if self.numbering is not None:
             if self.numbering.get(root) != 0:
                 raise ValueError("root must be numbered 0")
-            if sorted(self.numbering) != sorted(self.children) or sorted(
+            if self.numbering.keys() != self.children.keys() or sorted(
                 self.numbering.values()
             ) != list(range(self.n + 1)):
                 raise ValueError("numbering must be a bijection onto 0..n")

@@ -13,7 +13,7 @@ Each stage works on flat lists over the sketch's integer layout
 stages are keyed by node ids.  The trace graph itself is integer-indexed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .ecp import Multigraph, PrioritySet
@@ -112,7 +112,6 @@ class TraceGraph:
     priority: PrioritySet
     tree_arcs: int
     letters: list
-    sigma: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -165,7 +164,6 @@ def build_trace_graph(s: HeapSketch, links: dict, sigma: dict) -> TraceGraph:
         priority=PrioritySet(graph, priority),
         tree_arcs=len(tree_letters),
         letters=tree_letters,
-        sigma=dict(sigma),
     )
 
 

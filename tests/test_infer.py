@@ -75,6 +75,41 @@ def test_p1_rejects_swapped_numbers():
     swapped[a], swapped[b] = swapped[b], swapped[a]
     mutated = HeapSketch(s.root, s.edge_list, numbering=swapped)
     assert infer_p1(mutated) is None
+    # seeded family for problems 1 and 2: two numbers swapped on small texts
+    rng = random.Random(6)
+    rejected = accepted = 0
+    for _ in range(120):
+        letters = "abc"[: rng.randint(2, 3)]
+        s = sk(rnd_text(rng, letters, rng.randint(2, 7)), numbered=True, labeled=True, links=False)
+        a, b = rng.sample([v for _, v, _ in s.edge_list], 2)
+        swapped = dict(s.numbering)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        mutated = HeapSketch(s.root, s.edge_list, numbering=swapped)
+        shape = mutated.without_labels()
+        alphabet = Alphabet(letters)
+        for found, want in (
+            (infer_p1(mutated), brute_force_texts(mutated, 1, alphabet)),
+            (infer_p2(shape, alphabet), brute_force_texts(shape, 2, alphabet)),
+        ):
+            if found is None:
+                assert want == []
+                rejected += 1
+            else:
+                assert found.text in want
+                accepted += 1
+    assert rejected > 40 and accepted > 40
+
+
+def test_strictness_follows_the_problem():
+    # each problem compares what it is about, whatever else the sketch carries
+    full = sk("abaababc")
+    moved = {**full.links, 8: 3}
+    assert infer_p1(full.with_links(moved)).text == "abaababc"
+    assert infer_p2(full, Alphabet("xyz")).text == "xyxxyxyz"
+    labeled = full.without_numbers().with_links(moved)
+    found = infer_p3(labeled)
+    assert found is not None and found.text == infer_p3(labeled.without_links()).text
+    assert text_matches(found.text, labeled, 3)
 
 
 def test_p1_rejects_invalid_spelled_text():
@@ -404,6 +439,28 @@ def test_p4_builds_each_stage_once(monkeypatch):
     assert len(list(enum_p4(s, ABC))) == 12
     assert calls["build_trace_graph"] == 1
     assert calls["propagate_labels"] == 1
+
+
+@pytest.mark.parametrize("problem", [1, 2, 3, 4])
+def test_infer_builds_one_heap(monkeypatch, problem):
+    # the answer is checked on the arrays of one forward build, never on an
+    # exported sketch
+    import posheap.heap
+    import posheap.infer
+
+    keep = {
+        1: dict(numbered=True, labeled=True, links=False),
+        2: dict(numbered=True, labeled=False, links=False),
+        3: dict(numbered=False, labeled=True, links=False),
+        4: dict(numbered=False, labeled=False, links=True),
+    }
+    s = sk("abaababc", **keep[problem])
+    infer = {1: infer_p1, 2: lambda s: infer_p2(s, ABC), 3: infer_p3, 4: lambda s: infer_p4(s, ABC)}
+    builds = _count_calls(monkeypatch, posheap.infer, ("build_position_heap",))
+    exports = _count_calls(monkeypatch, posheap.heap.PositionHeap, ("to_sketch",))
+    assert infer[problem](s) is not None
+    assert builds["build_position_heap"] == 1
+    assert exports["to_sketch"] == 0
 
 
 def test_p4_oracle_needs_links():

@@ -4,6 +4,7 @@ from posheap import (
     HeapSketch,
     UnlabeledInput,
     build_position_heap,
+    infer_p1,
     label_iso_map,
     numbered_shape_equal,
     tree_equal,
@@ -52,6 +53,26 @@ def test_numbering_must_be_bijection_with_root_zero():
         HeapSketch("r", edges, numbering={"r": 0, "x": 2})
     with pytest.raises(ValueError):
         HeapSketch("r", edges, numbering={"r": 0})
+
+
+def test_numbering_over_mixed_id_types():
+    # node ids need not be comparable with each other
+    s = HeapSketch("r", [("r", 1, "a")], numbering={"r": 0, 1: 1})
+    assert infer_p1(s).text == "a"
+    h = build_position_heap("abaababc").to_sketch(links=False)
+    ids = {v: "root" if v == 0 else v for v in h.nodes()}
+    mixed = HeapSketch(
+        "root",
+        [(ids[u], v, c) for u, v, c in h.edge_list],
+        numbering={ids[v]: i for v, i in h.numbering.items()},
+    )
+    assert infer_p1(mixed).text == "abaababc"
+    with pytest.raises(ValueError):
+        HeapSketch("r", [("r", 1, "a")], numbering={"r": 0})
+    with pytest.raises(ValueError):
+        HeapSketch("r", [("r", 1, "a")], numbering={"r": 0, 1: 1, "x": 2})
+    with pytest.raises(ValueError):
+        HeapSketch("r", [("r", 1, "a")], numbering={"r": 0, "x": 1})
 
 
 def test_link_endpoints_must_exist():
