@@ -65,31 +65,27 @@ def _pick_problem(args, sketch) -> int:
     return ProblemKind.for_sketch(sketch).value
 
 
-def _pick_alphabet(args, sketch, problem: int):
-    """Explicit flag wins, then the file's alphabet line; 2 and 4 need one."""
-    if getattr(args, "alphabet", None):
-        return Alphabet(args.alphabet)
-    if sketch.alphabet is not None:
-        return sketch.alphabet
-    if problem in (2, 4):
+def _instance(args):
+    """(sketch, problem, alphabet) for a command that reads a PHT file.
+
+    The --alphabet flag wins, then the file's alphabet line; 2 and 4 need one.
+    """
+    sketch = _load(args.file)
+    problem = _pick_problem(args, sketch)
+    alphabet = Alphabet(args.alphabet) if args.alphabet else sketch.alphabet
+    if alphabet is None and problem in (2, 4):
         raise _Usage("problem %d needs --alphabet (or an alphabet line in the file)" % problem)
-    return None
+    return sketch, problem, alphabet
 
 
 class _Usage(Exception):
     pass
 
 
-def _infer_text(sketch, problem: int, alphabet):
-    if problem == 1:
-        found = infer_p1(sketch)
-    elif problem == 2:
-        found = infer_p2(sketch, alphabet)
-    elif problem == 3:
-        found = infer_p3(sketch)
-    else:
-        found = infer_p4(sketch, alphabet)
-    return found
+def _call(problem: int, entries, sketch, alphabet):
+    """entries[problem - 1] on the sketch, with the alphabet for problems 2 and 4."""
+    fn = entries[problem - 1]
+    return fn(sketch, alphabet) if problem in (2, 4) else fn(sketch)
 
 
 def _cmd_build(args) -> int:
@@ -108,10 +104,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    sketch = _load(args.file)
-    problem = _pick_problem(args, sketch)
-    alphabet = _pick_alphabet(args, sketch, problem)
-    found = _infer_text(sketch, problem, alphabet)
+    sketch, problem, alphabet = _instance(args)
+    found = _call(problem, (infer_p1, infer_p2, infer_p3, infer_p4), sketch, alphabet)
     if found is None:
         print("invalid")
         return 1
@@ -120,34 +114,22 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    sketch = _load(args.file)
-    problem = _pick_problem(args, sketch)
-    alphabet = _pick_alphabet(args, sketch, problem)
+    sketch, problem, alphabet = _instance(args)
     if problem == 1:
         value = 1 if infer_p1(sketch) is not None else 0
-    elif problem == 2:
-        value = count_p2(sketch, alphabet)
-    elif problem == 3:
-        value = count_p3(sketch)
     else:
-        value = count_p4(sketch, alphabet)
+        value = _call(problem, (None, count_p2, count_p3, count_p4), sketch, alphabet)
     print(value)
     return 0 if value > 0 else 1
 
 
 def _cmd_enum(args) -> int:
-    sketch = _load(args.file)
-    problem = _pick_problem(args, sketch)
-    alphabet = _pick_alphabet(args, sketch, problem)
+    sketch, problem, alphabet = _instance(args)
     if problem == 1:
         found = infer_p1(sketch)
         stream = iter([found.text]) if found is not None else iter([])
-    elif problem == 2:
-        stream = enum_p2(sketch, alphabet)
-    elif problem == 3:
-        stream = enum_p3(sketch)
     else:
-        stream = enum_p4(sketch, alphabet)
+        stream = _call(problem, (None, enum_p2, enum_p3, enum_p4), sketch, alphabet)
     emitted = 0
     for text in stream:
         print(text)
@@ -184,9 +166,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    sketch = _load(args.file)
-    problem = _pick_problem(args, sketch)
-    alphabet = _pick_alphabet(args, sketch, problem)
+    sketch, problem, alphabet = _instance(args)
     texts = brute_force_texts(sketch, problem, alphabet, max_len=args.max_len)
     for text in texts:
         print(text)
@@ -211,14 +191,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _problem_flag(parser, required: bool = False) -> None:
+def _problem_flag(parser) -> None:
     parser.add_argument(
         "--problem",
         "-p",
         type=int,
         choices=(1, 2, 3, 4),
         default=None,
-        required=required,
         help="which annotations count (default: everything the file carries)",
     )
 
@@ -237,24 +216,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_build)
 
-    p = sub.add_parser("infer", help="recover one source text from a PHT file")
-    p.add_argument("file")
-    _problem_flag(p)
-    p.add_argument("--alphabet", help="letters for problems 2 and 4")
-    p.set_defaults(run=_cmd_infer)
+    def solver(name, run, help_text):
+        """A subcommand over a PHT file that takes --problem and --alphabet."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        _problem_flag(p)
+        p.add_argument("--alphabet", help="letters for problems 2 and 4")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("count", help="count all consistent source texts")
-    p.add_argument("file")
-    _problem_flag(p)
-    p.add_argument("--alphabet", help="letters for problems 2 and 4")
-    p.set_defaults(run=_cmd_count)
-
-    p = sub.add_parser("enum", help="stream all consistent source texts")
-    p.add_argument("file")
-    _problem_flag(p)
-    p.add_argument("--alphabet", help="letters for problems 2 and 4")
+    solver("infer", _cmd_infer, "recover one source text from a PHT file")
+    solver("count", _cmd_count, "count all consistent source texts")
+    p = solver("enum", _cmd_enum, "stream all consistent source texts")
     p.add_argument("--limit", type=int, help="stop after this many texts")
-    p.set_defaults(run=_cmd_enum)
 
     p = sub.add_parser("verify", help="check a text against a PHT file")
     p.add_argument("file")
@@ -268,12 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_export_dot)
 
-    p = sub.add_parser("oracle", help="brute-force the consistent texts (small inputs)")
-    p.add_argument("file")
-    _problem_flag(p)
-    p.add_argument("--alphabet", help="letters for problems 2 and 4")
+    p = solver("oracle", _cmd_oracle, "brute-force the consistent texts (small inputs)")
     p.add_argument("--max-len", type=int, default=10)
-    p.set_defaults(run=_cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a random valid text, or a PHT instance with --problem")
     p.add_argument("--len", "-n", dest="length", type=int, required=True)

@@ -23,13 +23,8 @@ def _sketch_dot(s: HeapSketch, name: str) -> str:
     for parent, child, letter in s.edge_list:
         tag = " [label=%s]" % _q(letter) if letter is not None else ""
         out.append("  %s -> %s%s;" % (_q(parent), _q(child), tag))
-    if s.has_links:
-        for node in s.nodes():
-            if node in s.links:
-                out.append(
-                    "  %s -> %s [style=dashed, constraint=false];"
-                    % (_q(node), _q(s.links[node]))
-                )
+    for node, target in (s.links or {}).items():  # in node order
+        out.append("  %s -> %s [style=dashed, constraint=false];" % (_q(node), _q(target)))
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -50,7 +50,7 @@ class Multigraph:
     tail[e] to node head[e] with multiplicity mult[e].  The ids of the
     edges leaving node i are out_ids[out_start[i]:out_start[i + 1]], in edge
     order (out_edges(i)); in_start and in_ids do the same for the edges
-    entering it (in_edges(i)).  Flat lists rather than one list per node
+    entering it.  Flat lists rather than one list per node
     keep a large graph down to a handful of Python objects.
 
     Construction order is the tie-breaking order for every deterministic
@@ -141,10 +141,6 @@ class Multigraph:
     def out_edges(self, i):
         """Ids of the edges leaving node number i, in edge order."""
         return self.out_ids[self.out_start[i] : self.out_start[i + 1]]
-
-    def in_edges(self, i):
-        """Ids of the edges entering node number i, in edge order."""
-        return self.in_ids[self.in_start[i] : self.in_start[i + 1]]
 
     def total_multiplicity(self) -> int:
         return sum(self.mult)
@@ -301,9 +297,17 @@ def demote_priorities(g: Multigraph, f):
     """Drop priority from every edge that is its tail's only out-edge.
 
     Such an edge is trivially the first departure whenever the node departs
-    at all, so dropping it changes no answers.  Single pass.
+    at all, so dropping it changes no answers.  ValueError unless f is a
+    well-formed priority set of g.
     """
-    return frozenset(e for e in f if len(g.out_edges(g.node_index[e[0]])) > 1)
+    return frozenset(_pair(g, e) for e in _demoted(g, f) if e >= 0)
+
+
+def _demoted(g: Multigraph, f):
+    """prio[i]: the id of node i's priority edge after demotion, or -1."""
+    first = PrioritySet.resolve(g, f).first
+    start = g.out_start
+    return [e if e >= 0 and start[i + 1] - start[i] > 1 else -1 for i, e in enumerate(first)]
 
 
 def _balanced(g: Multigraph) -> bool:
@@ -329,9 +333,7 @@ def _prepare(g: Multigraph, f, r):
     cycle, whose last exits would form such a tree, and leaves nothing to
     count: this is the only check that solve, count and enumerate need.
     """
-    first = PrioritySet.resolve(g, f).first
-    start = g.out_start
-    prio = [e if e >= 0 and start[i + 1] - start[i] > 1 else -1 for i, e in enumerate(first)]
+    prio = _demoted(g, f)
     if not g.mult:
         return prio, None, None
     ri = g.node_index.get(r)

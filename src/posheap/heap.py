@@ -24,6 +24,13 @@ from .errors import InvalidText, UnknownLetter
 # Positions are 1-based in the text; node i corresponds to position i.
 
 
+# The letter rule: true for one printable single-byte symbol other than whitespace,
+# '-' and '#' (the PHT text format reserves those), false for anything else.
+_is_letter = frozenset(
+    c for c in map(chr, range(256)) if c.isprintable() and not c.isspace() and c not in "-#"
+).__contains__
+
+
 class Alphabet:
     """Ordered set of distinct letters.
 
@@ -37,7 +44,7 @@ class Alphabet:
             raise UnknownLetter("alphabet must not be empty")
         seen = set()
         for c in letters:
-            if ord(c) > 0xFF or not c.isprintable() or c.isspace() or c in "-#":
+            if not _is_letter(c):
                 raise UnknownLetter("letter not allowed in an alphabet: %r" % c)
             if c in seen:
                 raise UnknownLetter("duplicate letter in alphabet: %r" % c)
@@ -111,22 +118,20 @@ class PositionHeap:
         """Export as a HeapSketch with integer node ids equal to the numbers."""
         from .sketch import HeapSketch
 
-        edges = []
-        order = [0]
-        k = 0
-        while k < len(order):  # BFS so parents precede children
-            u = order[k]
-            k += 1
-            for c in sorted(self.children[u]):
-                v = self.children[u][c]
-                edges.append((u, v, c if labeled else None))
-                order.append(v)
-        return HeapSketch(
-            root=0,
-            edges=edges,
-            numbering={i: i for i in range(self.n + 1)} if numbered else None,
-            links={i: self.slink[i] for i in range(1, self.n + 1)} if links else None,
-        )
+        order = [0]  # node ids in BFS order, so parents precede children
+        parent = [-1]
+        letters = [None]
+        for k, u in enumerate(order):  # the order grows while it is read
+            kids = self.children[u]
+            for c in sorted(kids):
+                order.append(kids[c])
+                parent.append(k)
+                letters.append(c)
+        index = dict(zip(order, range(len(order))))
+        layout = (order, index, parent, letters if labeled else [None] * len(order))
+        link = [-1] + [index[self.slink[v]] for v in order[1:]] if links else None
+        # node ids are the numbers, so the numbering list is the order itself
+        return HeapSketch._of(0, layout, order if numbered else None, link, None)
 
 
 def build_position_heap(text: str, alphabet: Alphabet | None = None) -> PositionHeap:

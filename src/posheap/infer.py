@@ -23,6 +23,7 @@ variants (except 1, whose answer is unique when it exists).
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
+from math import perm
 
 from .ecp import count_ecp, enumerate_ecp, solve_ecp
 from .errors import (
@@ -71,36 +72,30 @@ class Inferred:
     labels: dict
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 # --- the answer check -------------------------------------------------------
 
 
-def _matching_heap(s: HeapSketch, text: str, numbering: dict, labels=None, links=None):
+def _matching_heap(s: HeapSketch, text: str, numbering=None, labels=False, links=False):
     """The heap of text if it is s under numbering, else None.
 
     numbering maps every node of s to its heap node, a bijection onto
-    0..s.n for a text of length s.n.  Each node's parent must map to the
-    heap parent of its image.  Where the caller passes them, the edge
-    letter must also equal labels[v] and the image's suffix link must be
-    the image of links[v].  Compared as lists over s.layout() order.
+    0..s.n for a text of length s.n; None stands for s's own numbering.
+    Each node's parent must map to the heap parent of its image.  With
+    labels, the edge letter must also be s's letter, and with links the
+    image's suffix link must be the image of s's link.  Compared as lists
+    over s.layout() order.
     """
     if not is_valid_text(text):
         return None
     built = build_position_heap(text)
-    nodes, _, parent, _ = s.layout()
-    number = [numbering[v] for v in nodes]
-    mine, kids = number[1:], nodes[1:]
+    nodes, _, parent, letters = s.layout()
+    number = s._number if numbering is None else [numbering[v] for v in nodes]
+    mine = number[1:]
     if [built.parent[h] for h in mine] != [number[p] for p in parent[1:]]:
         return None
-    if labels is not None and [built.label[h] for h in mine] != [labels[v] for v in kids]:
+    if labels and [built.label[h] for h in mine] != letters[1:]:
         return None
-    if links is not None and [built.slink[h] for h in mine] != [numbering[links[v]] for v in kids]:
+    if links and [built.slink[h] for h in mine] != [number[t] for t in s._link[1:]]:
         return None
     return built
 
@@ -108,18 +103,20 @@ def _matching_heap(s: HeapSketch, text: str, numbering: dict, labels=None, links
 # --- problems 1 and 2: numbers present ---------------------------------------
 
 
-def _spell(s: HeapSketch, root_letter: dict) -> str:
+def _spell(s: HeapSketch, root_letters) -> str:
     """The text a numbered tree spells, one letter per root subtree.
 
-    Each node's position gets root_letter[c] for the root child c above it.
+    Each node's position gets root_letters[i] for the root child i above
+    it, node i counted in s.layout() order.
     """
-    nodes, _, parent, _ = s.layout()
-    top = list(range(len(nodes)))  # top[i]: the root child above node i
-    out = [""] * len(nodes)
-    for i in range(1, len(nodes)):
+    _, _, parent, _ = s.layout()
+    number = s._number
+    top = list(range(len(parent)))  # top[i]: the root child above node i
+    out = [""] * len(parent)
+    for i in range(1, len(parent)):
         if parent[i]:
             top[i] = top[parent[i]]
-        out[s.numbering[nodes[i]]] = root_letter[nodes[top[i]]]
+        out[number[i]] = root_letters[top[i]]
     return "".join(out)
 
 
@@ -127,8 +124,8 @@ def infer_p1(s: HeapSketch) -> Inferred | None:
     """The unique candidate text, or None if the sketch lies about itself."""
     if not (s.is_numbered and s.is_labeled):
         raise ValueError("problem 1 needs numbering and labels")
-    text = _spell(s, s.label)
-    if _matching_heap(s, text, s.numbering, s.label) is None:
+    text = _spell(s, s.layout()[3])
+    if _matching_heap(s, text, labels=True) is None:
         return None
     return Inferred(text, dict(s.numbering), dict(s.label))
 
@@ -136,7 +133,7 @@ def infer_p1(s: HeapSketch) -> Inferred | None:
 def _p2_check(s: HeapSketch, alphabet: Alphabet):
     if not s.is_numbered:
         raise ValueError("problem 2 needs a numbering")
-    k = len(s.children[s.root])
+    k = s.layout()[2].count(0)
     if k > len(alphabet):
         raise AlphabetTooSmall("root has %d children, alphabet only %d letters" % (k, len(alphabet)))
     return k
@@ -145,12 +142,12 @@ def _p2_check(s: HeapSketch, alphabet: Alphabet):
 def infer_p2(s: HeapSketch, alphabet: Alphabet) -> Inferred | None:
     """Canonical root assignment (alphabet order along child order)."""
     _p2_check(s, alphabet)
-    text = _spell(s, dict(zip(s.children[s.root], alphabet.letters)))
-    built = _matching_heap(s, text, s.numbering)
+    nodes, _, parent, _ = s.layout()
+    text = _spell(s, dict(zip([i for i, p in enumerate(parent) if p == 0], alphabet.letters)))
+    built = _matching_heap(s, text)
     if built is None:
         return None
-    byn = s.node_by_number()
-    labels = {byn[i]: built.label[i] for i in range(1, s.n + 1)}
+    labels = dict(zip(nodes[1:], [built.label[h] for h in s._number[1:]]))
     return Inferred(text, dict(s.numbering), labels)
 
 
@@ -163,7 +160,7 @@ def count_p2(s: HeapSketch, alphabet: Alphabet) -> int:
     k = _p2_check(s, alphabet)
     if infer_p2(s, alphabet) is None:
         return 0
-    return _falling(len(alphabet), k)
+    return perm(len(alphabet), k)
 
 
 def enum_p2(s: HeapSketch, alphabet: Alphabet):
@@ -187,11 +184,9 @@ def _p3_trace(s: HeapSketch):
     try:
         links = reconstruct_suffix_links(s)
         sigma = compute_sigma(s, links)
-    except (NoSuchChild, NegativeSigma):
-        return None
-    except ValueError:
-        # duplicate sibling labels; nothing else can raise here on a
-        # labeled sketch since reconstructed links are always total
+    except (NoSuchChild, NegativeSigma, ValueError):
+        # ValueError: duplicate sibling labels; nothing else can raise it
+        # here on a labeled sketch since reconstructed links are always total
         return None
     return build_trace_graph(s, links, sigma)
 
@@ -205,7 +200,7 @@ def _solve_p3(s: HeapSketch, verify: bool = True):
     if cycle is None:
         return tg, None
     text, numbering = read_text_from_cycle(tg, cycle)
-    if verify and _matching_heap(s, text, numbering, s.label) is None:
+    if verify and _matching_heap(s, text, numbering, labels=True) is None:
         return tg, None
     return tg, Inferred(text, numbering, dict(s.label))
 
@@ -236,10 +231,9 @@ def enum_p3(s: HeapSketch):
     first = True
     for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
         text, numbering = read_text_from_cycle(tg, cycle)
-        if first:
-            if _matching_heap(s, text, numbering, s.label) is None:
-                raise RuntimeError("enumerated text failed verification: %r" % text)
-            first = False
+        if first and _matching_heap(s, text, numbering, labels=True) is None:
+            raise RuntimeError("enumerated text failed verification: %r" % text)
+        first = False
         yield text
 
 
@@ -253,9 +247,10 @@ def _solve_p4(s: HeapSketch, alphabet: Alphabet):
     letters in root-child order; None when the links reject it or no text
     matches s.  The answer is checked once, on s's links as well.
     """
-    if s.links is None:
+    if not s.has_links:
         raise ValueError("problem 4 needs a link map")
-    roots = s.children[s.root]
+    nodes, _, parent, _ = s.layout()
+    roots = [v for v, p in zip(nodes, parent) if p == 0]
     if len(roots) > len(alphabet):
         raise AlphabetTooSmall(
             "root has %d children, alphabet only %d letters" % (len(roots), len(alphabet))
@@ -267,7 +262,7 @@ def _solve_p4(s: HeapSketch, alphabet: Alphabet):
     tg, found = _solve_p3(labeled, verify=False)
     if found is None:
         return None
-    if _matching_heap(labeled, found.text, found.numbering, labeled.label, s.links) is None:
+    if _matching_heap(labeled, found.text, found.numbering, labels=True, links=True) is None:
         return None
     return labeled, tg, found
 
@@ -302,7 +297,7 @@ def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
         for original, permuted in zip(group_lists, combo):
             rho.update(zip(original, permuted))
         rename = {assignment0[c]: assignment0[rho[c]] for c in roots}
-        relabeled = labeled0.with_labels({v: rename[c] for v, c in labeled0.label.items()})
+        relabeled = labeled0._with_letters([None] + [rename[c] for c in labeled0.layout()[3][1:]])
         if tree_equal(relabeled, labeled0, respect_numbers=False):
             symmetries.append(rho)
     return symmetries
@@ -322,7 +317,7 @@ def count_p4(s: HeapSketch, alphabet: Alphabet) -> int:
     base = count_ecp(tg.graph, tg.priority, tg.root)
     k = len(s.children[s.root])
     sym = len(_root_symmetries(s, labeled, alphabet))
-    total = base * _falling(len(alphabet), k)
+    total = base * perm(len(alphabet), k)
     assert total % sym == 0
     return total // sym
 
@@ -354,8 +349,8 @@ def enum_p4(s: HeapSketch, alphabet: Alphabet):
         for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
             text, numbering = read_text_from_cycle(tg, cycle)
             text = text.translate(rename)
-            if first:  # canonical assignment, checked against labeled0 as is
-                if _matching_heap(labeled0, text, numbering, labeled0.label, s.links) is None:
-                    raise RuntimeError("enumerated text failed verification: %r" % text)
-                first = False
+            # the first text has the canonical assignment, checked against labeled0 as is
+            if first and _matching_heap(labeled0, text, numbering, labels=True, links=True) is None:
+                raise RuntimeError("enumerated text failed verification: %r" % text)
+            first = False
             yield text

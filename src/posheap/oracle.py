@@ -11,7 +11,7 @@ from itertools import product
 
 from .errors import CapExceeded, UnlabeledInput
 from .heap import Alphabet, build_position_heap, is_valid_text
-from .sketch import HeapSketch, label_iso_map, numbered_shape_equal, shape_codes, tree_equal
+from .sketch import HeapSketch, _subtree_codes, label_iso_map, numbered_shape_equal, shape_codes, tree_equal
 
 _WORK_CAP = 10**7
 
@@ -112,17 +112,7 @@ def brute_force_texts(s: HeapSketch, kind: int, alphabet: Alphabet | None = None
 
 def canonical_code(s: HeapSketch) -> str:
     """Canonical string of a labeled tree: children sorted by letter."""
-    codes = {}
-    stack = [(s.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            inner = "".join(sorted(s.label[c] + codes[c] for c in s.children[v]))
-            codes[v] = "(" + inner + ")"
-        else:
-            stack.append((v, True))
-            stack.extend((c, False) for c in s.children[v])
-    return codes[s.root]
+    return _subtree_codes(s, True)[0]
 
 
 def random_valid_text(rng, alphabet: Alphabet, length: int) -> str:

@@ -20,8 +20,8 @@ annotations it does not carry.
 """
 
 from .errors import FormatError, UnknownLetter
-from .heap import Alphabet
-from .sketch import HeapSketch
+from .heap import Alphabet, _is_letter
+from .sketch import HeapSketch, _check_numbers
 
 _FLAG_NAMES = ("numbered", "labeled", "links")
 
@@ -33,13 +33,11 @@ def _check_id(token: str, lineno: int) -> str:
 
 
 def _check_letter(token: str, lineno: int) -> str:
-    try:
-        Alphabet(token)
-    except UnknownLetter:
-        raise FormatError("bad edge letter %r" % token, lineno) from None
-    if len(token) != 1:
+    if _is_letter(token):
+        return token
+    if all(map(_is_letter, token)) and len(set(token)) == len(token):
         raise FormatError("edge letter must be one symbol, got %r" % token, lineno)
-    return token
+    raise FormatError("bad edge letter %r" % token, lineno)
 
 
 def _parse_flags(args, lineno: int) -> dict:
@@ -75,10 +73,10 @@ def parse_pht(text: str) -> HeapSketch:
     alphabet_letters = None
     alphabet_line = None
     root = None
-    declared = set()
-    edges = []
-    numbering = {}
-    links = {}
+    index = {}  # node id -> i, filled with nodes, parent and letters as nodes are declared
+    size = 1 + sum(tokens[0] == "edge" for _, tokens in lines)
+    number = [None] * size
+    link = [-1] * size
 
     for lineno, tokens in lines[2:]:
         word, args = tokens[0], tokens[1:]
@@ -94,17 +92,18 @@ def parse_pht(text: str) -> HeapSketch:
             if root is not None:
                 raise FormatError("root given twice", lineno)
             root = _check_id(args[0], lineno)
-            declared.add(root)
+            index[root] = 0
+            nodes, parent, letters = [root], [-1], [None]
         elif word == "edge":
             if len(args) != 3:
                 raise FormatError("edge takes parent, child and letter", lineno)
             if root is None:
                 raise FormatError("edge before root", lineno)
-            parent = _check_id(args[0], lineno)
+            p = index.get(_check_id(args[0], lineno))
             child = _check_id(args[1], lineno)
-            if parent not in declared:
-                raise FormatError("unknown parent %r" % parent, lineno)
-            if child in declared:
+            if p is None:
+                raise FormatError("unknown parent %r" % args[0], lineno)
+            if child in index:
                 raise FormatError("node %r declared twice" % child, lineno)
             if flags["labeled"]:
                 letter = _check_letter(args[2], lineno)
@@ -112,47 +111,51 @@ def parse_pht(text: str) -> HeapSketch:
                 raise FormatError("labeled=no but edge carries a letter", lineno)
             else:
                 letter = None
-            declared.add(child)
-            edges.append((parent, child, letter))
+            index[child] = len(nodes)
+            nodes.append(child)
+            parent.append(p)
+            letters.append(letter)
         elif word == "num":
             if not flags["numbered"]:
                 raise FormatError("num line but numbered=no", lineno)
             if len(args) != 2:
                 raise FormatError("num takes a node id and a number", lineno)
-            node = args[0]
-            if node not in declared:
-                raise FormatError("unknown node %r" % node, lineno)
-            if node in numbering:
-                raise FormatError("node %r numbered twice" % node, lineno)
+            i = index.get(args[0])
+            if i is None:
+                raise FormatError("unknown node %r" % args[0], lineno)
+            if number[i] is not None:
+                raise FormatError("node %r numbered twice" % args[0], lineno)
             try:
                 value = int(args[1])
             except ValueError:
                 raise FormatError("bad number %r" % args[1], lineno) from None
             if value < 0:
                 raise FormatError("numbers must not be negative", lineno)
-            numbering[node] = value
+            number[i] = value
         elif word == "slink":
             if not flags["links"]:
                 raise FormatError("slink line but links=no", lineno)
             if len(args) != 2:
                 raise FormatError("slink takes two node ids", lineno)
-            tail, head = args
-            if tail not in declared or head not in declared:
+            tail, head = map(index.get, args)
+            if tail is None or head is None:
                 raise FormatError("slink endpoints must be declared nodes", lineno)
-            if tail == root:
+            if tail == 0:
                 raise FormatError("the root cannot carry a link", lineno)
-            if tail in links:
-                raise FormatError("node %r linked twice" % tail, lineno)
-            links[tail] = head
+            if link[tail] >= 0:
+                raise FormatError("node %r linked twice" % args[0], lineno)
+            link[tail] = head
         else:
             raise FormatError("unknown directive %r" % word, lineno)
 
     if root is None:
         raise FormatError("missing root line")
-    if flags["numbered"] and len(numbering) != len(declared):
-        raise FormatError("numbered=yes but %d of %d nodes have numbers" % (len(numbering), len(declared)))
-    if flags["links"] and len(links) != len(declared) - 1:
-        raise FormatError("links=yes but %d of %d non-root nodes have links" % (len(links), len(declared) - 1))
+    given = size - number.count(None)
+    if flags["numbered"] and given != size:
+        raise FormatError("numbered=yes but %d of %d nodes have numbers" % (given, size))
+    given = size - link.count(-1)
+    if flags["links"] and given != size - 1:
+        raise FormatError("links=yes but %d of %d non-root nodes have links" % (given, size - 1))
 
     alphabet = None
     if alphabet_letters is not None:
@@ -160,20 +163,17 @@ def parse_pht(text: str) -> HeapSketch:
             alphabet = Alphabet(alphabet_letters)
         except UnknownLetter as exc:
             raise FormatError(str(exc), alphabet_line) from None
-        for _, child, letter in edges:
+        for letter in letters:
             if letter is not None and letter not in alphabet:
                 raise FormatError("edge letter %r is outside the declared alphabet" % letter)
 
     try:
-        return HeapSketch(
-            root,
-            edges,
-            numbering=numbering if flags["numbered"] else None,
-            links=links if flags["links"] else None,
-            alphabet=alphabet,
-        )
+        if flags["numbered"]:
+            _check_numbers(number, size)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    number, link = (number if flags["numbered"] else None), (link if flags["links"] else None)
+    return HeapSketch._of(root, (nodes, index, parent, letters), number, link, alphabet)
 
 
 def write_pht(s: HeapSketch) -> str:
@@ -182,13 +182,12 @@ def write_pht(s: HeapSketch) -> str:
     Node ids are written with str(); they must stay distinct and printable
     as PHT tokens after that.
     """
-    names = {}
-    for node in s.nodes():
-        name = str(node)
+    nodes, _, parent, letters = s.layout()
+    names = [str(node) for node in nodes]
+    for name in names:
         if name == "-" or "#" in name or not name or any(c.isspace() for c in name):
             raise ValueError("node id %r cannot be written as a PHT token" % name)
-        names[node] = name
-    if len(set(names.values())) != len(names):
+    if len(set(names)) != len(names):
         raise ValueError("node ids collide when written as strings")
 
     out = ["pht 1"]
@@ -198,14 +197,11 @@ def write_pht(s: HeapSketch) -> str:
     )
     if s.alphabet is not None:
         out.append("alphabet %s" % s.alphabet.letters)
-    out.append("root %s" % names[s.root])
-    for parent, child, letter in s.edge_list:
-        out.append("edge %s %s %s" % (names[parent], names[child], letter if letter is not None else "-"))
+    out.append("root %s" % names[0])
+    edges = zip(parent[1:], names[1:], letters[1:])
+    out.extend(["edge %s %s %s" % (names[p], name, "-" if c is None else c) for p, name, c in edges])
     if s.is_numbered:
-        for node in s.nodes():
-            out.append("num %s %d" % (names[node], s.numbering[node]))
+        out.extend(["num %s %d" % pair for pair in zip(names, s._number)])
     if s.has_links:
-        for node in s.nodes():
-            if node in s.links:
-                out.append("slink %s %s" % (names[node], names[s.links[node]]))
+        out.extend(["slink %s %s" % (names[i], names[t]) for i, t in enumerate(s._link) if t >= 0])
     return "\n".join(out) + "\n"

@@ -7,9 +7,13 @@ three annotation layers a full position heap carries:
   * a numbering (bijection onto 0..n with the root at 0),
   * a link map (node -> node, usually total on non-root nodes).
 
-The inference routines take sketches as input and decide which texts, if
-any, could have produced them.
+A sketch stores one form, flat lists over node numbers (see layout); the
+node-keyed dicts are views spelled out on first use.  The inference
+routines take sketches as input and decide which texts, if any, could have
+produced them.
 """
+
+from functools import cached_property
 
 from .errors import UnlabeledInput
 
@@ -20,72 +24,61 @@ class HeapSketch:
     edges must be given parent-first: every parent id is either the root or
     appeared earlier as a child.  Edge order is preserved; it is the child
     order used by every deterministic traversal downstream.
+
+    Stored once, as layout() plus _number[i], the number of node i, and
+    _link[i], the node its link points at (-1 for none), or None without
+    that layer.  edge_list, parent, label, children, depth, numbering and
+    links are views spelled out on first use; derived sketches share lists.
     """
 
     def __init__(self, root, edges, numbering=None, links=None, alphabet=None):
-        self.root = root
-        self.edge_list = list(edges)
-        self.parent = {}
-        self.label = {}
-        self.children = {root: []}
-        labeled_count = 0
-        for parent, child, letter in self.edge_list:
-            if parent not in self.children:
-                raise ValueError("edge parent %r not declared before use" % (parent,))
-            if child in self.children or child == root:
-                raise ValueError("node %r declared twice" % (child,))
-            self.parent[child] = parent
-            self.children[child] = []
-            self.children[parent].append(child)
-            if letter is not None:
-                self.label[child] = letter
-                labeled_count += 1
-        if labeled_count not in (0, len(self.edge_list)):
-            raise ValueError("either all edges or no edges may carry labels")
+        nodes, index, parent, letters = [root], {root: 0}, [-1], [None]
+        for u, v, c in edges:
+            p = index.get(u)
+            if p is None:
+                raise ValueError("edge parent %r not declared before use" % (u,))
+            if v in index:
+                raise ValueError("node %r declared twice" % (v,))
+            index[v] = len(nodes)
+            nodes.append(v)
+            parent.append(p)
+            letters.append(c)
+        number = None if numbering is None else [numbering.get(v) for v in nodes]
+        if number is not None:
+            _check_numbers(number, len(numbering))
+        link = None if links is None else _link_list(index, links)
+        self._fill(root, (nodes, index, parent, _checked_letters(letters)), number, link, alphabet)
 
-        self.depth = {root: 0}
-        for parent, child, _ in self.edge_list:
-            self.depth[child] = self.depth[parent] + 1
+    @classmethod
+    def _of(cls, root, layout, number, link, alphabet):
+        """A sketch over lists already checked; they are kept, not copied."""
+        return cls.__new__(cls)._fill(root, layout, number, link, alphabet)
 
-        self.n = len(self.edge_list)
-        self.numbering = dict(numbering) if numbering is not None else None
-        if self.numbering is not None:
-            if self.numbering.get(root) != 0:
-                raise ValueError("root must be numbered 0")
-            if self.numbering.keys() != self.children.keys() or sorted(
-                self.numbering.values()
-            ) != list(range(self.n + 1)):
-                raise ValueError("numbering must be a bijection onto 0..n")
-        self.links = dict(links) if links is not None else None
-        if self.links is not None:
-            for u, v in self.links.items():
-                if u not in self.children or v not in self.children:
-                    raise ValueError("link endpoint is not a node: %r -> %r" % (u, v))
-        self.alphabet = alphabet
-        self._layout = None
+    def _fill(self, root, layout, number, link, alphabet):
+        self.root, self.n, self.alphabet = root, len(layout[0]) - 1, alphabet
+        self._layout, self._number, self._link = layout, number, link
+        return self
 
     # --- annotation presence -------------------------------------------------
 
     @property
     def is_labeled(self) -> bool:
-        return len(self.label) == self.n
+        return self.n == 0 or self._layout[3][1] is not None
 
     @property
     def is_numbered(self) -> bool:
-        return self.numbering is not None
+        return self._number is not None
 
     @property
     def has_links(self) -> bool:
-        return self.links is not None
+        return self._link is not None
 
     def nodes(self):
         """All node ids, root first, then children in edge order."""
-        return [self.root] + [child for _, child, _ in self.edge_list]
-
-    # --- derived views -------------------------------------------------------
+        return list(self._layout[0])
 
     def layout(self):
-        """Integer form of the tree as (nodes, index, parent, letters), cached.
+        """The stored tree as (nodes, index, parent, letters).
 
         Node i is nodes()[i] and index maps each node id back to i, so node
         i >= 1 is the child of edge i - 1.  parent[i] is the index of node
@@ -93,62 +86,131 @@ class HeapSketch:
         into node i (None for the root and on unlabeled sketches).  Every
         call returns the same objects, which callers must not change.
         """
-        if self._layout is None:
-            nodes = self.nodes()
-            index = {v: i for i, v in enumerate(nodes)}
-            parent = [-1] + [index[u] for u, _, _ in self.edge_list]
-            letters = [None] + [c for _, _, c in self.edge_list]
-            self._layout = (nodes, index, parent, letters)
         return self._layout
 
-    def has_duplicate_siblings(self) -> bool:
-        for u, kids in self.children.items():
-            letters = [self.label.get(v) for v in kids]
-            if len(set(letters)) != len(letters):
-                return True
-        return False
+    # --- views, spelled out on first use -------------------------------------
+
+    @cached_property
+    def edge_list(self):
+        nodes, _, parent, letters = self._layout
+        return list(zip(map(nodes.__getitem__, parent[1:]), nodes[1:], letters[1:]))
+
+    @cached_property
+    def parent(self) -> dict:
+        nodes, _, parent, _ = self._layout
+        return dict(zip(nodes[1:], map(nodes.__getitem__, parent[1:])))
+
+    @cached_property
+    def label(self) -> dict:
+        nodes, _, _, letters = self._layout
+        return dict(zip(nodes[1:], letters[1:])) if self.is_labeled else {}
+
+    @cached_property
+    def children(self) -> dict:
+        nodes, _, parent, _ = self._layout
+        kids = [[] for _ in nodes]
+        for i in range(1, len(nodes)):
+            kids[parent[i]].append(nodes[i])
+        return dict(zip(nodes, kids))
+
+    @cached_property
+    def depth(self) -> dict:
+        nodes, _, parent, _ = self._layout
+        depth = [0] * len(nodes)
+        for i in range(1, len(nodes)):
+            depth[i] = depth[parent[i]] + 1
+        return dict(zip(nodes, depth))
+
+    @cached_property
+    def numbering(self):
+        return None if self._number is None else dict(zip(self._layout[0], self._number))
+
+    @cached_property
+    def links(self):
+        nodes, link = self._layout[0], self._link
+        return None if link is None else {nodes[i]: nodes[t] for i, t in enumerate(link) if t >= 0}
 
     def node_by_number(self):
-        return {num: node for node, num in self.numbering.items()}
+        return dict(zip(self._number, self._layout[0]))
 
     # --- strip/extend helpers ------------------------------------------------
 
-    def _rebuild(self, labeled, numbered, linked, new_labels=None, new_links=None):
-        labels = new_labels if new_labels is not None else self.label
-        edges = [
-            (p, c, labels[c] if labeled else None) for p, c, _ in self.edge_list
-        ]
-        links = None
-        if linked:
-            links = new_links if new_links is not None else self.links
-        return HeapSketch(
-            self.root,
-            edges,
-            numbering=self.numbering if numbered else None,
-            links=links,
-            alphabet=self.alphabet if labeled else None,
-        )
+    def _derive(self, labeled, number, link, letters=None):
+        """This tree with these numbers and links, and letters (its own unless given) if labeled."""
+        nodes, index, parent, own = self._layout
+        if letters is None:
+            letters = own if labeled else [None] * len(nodes)
+        alphabet = self.alphabet if labeled else None
+        return HeapSketch._of(self.root, (nodes, index, parent, letters), number, link, alphabet)
 
     def without_numbers(self):
-        return self._rebuild(self.is_labeled, False, self.has_links)
+        return self._derive(self.is_labeled, None, self._link)
 
     def without_labels(self):
-        return self._rebuild(False, self.is_numbered, self.has_links)
+        return self._derive(False, self._number, self._link)
 
     def without_links(self):
-        return self._rebuild(self.is_labeled, self.is_numbered, False)
+        return self._derive(self.is_labeled, self._number, None)
 
     def with_labels(self, labels):
         """Copy with per-child labels replaced by the given dict."""
-        return self._rebuild(True, self.is_numbered, self.has_links, new_labels=labels)
+        return self._with_letters([None] + [labels[v] for v in self._layout[0][1:]])
+
+    def _with_letters(self, letters):
+        """Copy with letters[i] on the edge into node i (all letters or none)."""
+        return self._derive(True, self._number, self._link, _checked_letters(letters))
 
     def with_links(self, links):
-        return self._rebuild(self.is_labeled, self.is_numbered, True, new_links=links)
+        return self._derive(self.is_labeled, self._number, _link_list(self._layout[1], links))
+
+
+def _checked_letters(letters):
+    """letters, after checking that all edges or none carry one."""
+    if letters.count(None) not in (1, len(letters)):
+        raise ValueError("either all edges or no edges may carry labels")
+    return letters
+
+
+def _check_numbers(number, given):
+    """ValueError unless number, read from given entries, is a bijection onto 0..n, root at 0."""
+    if number[0] != 0:
+        raise ValueError("root must be numbered 0")
+    span = range(len(number))
+    seen = bytearray(len(number))
+    for k in number:
+        if k not in span or seen[k]:
+            raise ValueError("numbering must be a bijection onto 0..n")
+        seen[k] = 1
+    if given != len(number):
+        raise ValueError("numbering must be a bijection onto 0..n")
+
+
+def _link_list(index, links):
+    """The link map as node numbers: link[i] is the target of node i, or -1."""
+    link = [-1] * len(index)
+    for u, v in links.items():
+        i, j = index.get(u), index.get(v)
+        if i is None or j is None:
+            raise ValueError("link endpoint is not a node: %r -> %r" % (u, v))
+        link[i] = j
+    return link
 
 
 def _require_labeled(s: HeapSketch):
     if s.n > 0 and not s.is_labeled:
         raise UnlabeledInput("operation needs edge labels on every edge")
+
+
+def _by_number(s: HeapSketch, with_letters: bool):
+    """(parent's number, edge letter or None) of each node, listed by number."""
+    if not s.is_numbered:
+        raise ValueError("respect_numbers needs numberings on both sketches")
+    _, _, parent, letters = s._layout
+    number = s._number
+    out = [None] * len(number)
+    for i in range(1, len(number)):
+        out[number[i]] = (number[parent[i]], letters[i] if with_letters else None)
+    return out
 
 
 def tree_equal(x: HeapSketch, y: HeapSketch, respect_numbers: bool) -> bool:
@@ -165,17 +227,7 @@ def tree_equal(x: HeapSketch, y: HeapSketch, respect_numbers: bool) -> bool:
     if x.n != y.n:
         return False
     if respect_numbers:
-        if not (x.is_numbered and y.is_numbered):
-            raise ValueError("respect_numbers needs numberings on both sketches")
-        xof = x.node_by_number()
-        yof = y.node_by_number()
-        for i in range(1, x.n + 1):
-            xv, yv = xof[i], yof[i]
-            if x.label[xv] != y.label[yv]:
-                return False
-            if x.numbering[x.parent[xv]] != y.numbering[y.parent[yv]]:
-                return False
-        return True
+        return _by_number(x, True) == _by_number(y, True)
     return label_iso_map(x, y) is not None
 
 
@@ -183,35 +235,24 @@ def label_iso_map(x: HeapSketch, y: HeapSketch):
     """The unique label-respecting iso x -> y as a dict, or None.
 
     Returns None when shapes or labels disagree, or when duplicate sibling
-    labels make the pairing ambiguous (no heap has those).
+    labels make the pairing ambiguous (no heap has those).  Each node of x
+    maps to the child of its parent's image by the same letter.
     """
     _require_labeled(x)
     _require_labeled(y)
     if x.n != y.n:
         return None
-    mapping = {x.root: y.root}
-    stack = [(x.root, y.root)]
-    while stack:
-        xu, yu = stack.pop()
-        xkids = x.children[xu]
-        ykids = y.children[yu]
-        if len(xkids) != len(ykids):
+    ynodes, _, yparent, yletters = y._layout
+    child = dict(zip(zip(yparent, yletters), range(len(ynodes))))
+    xnodes, _, xparent, xletters = x._layout
+    image = [0] * len(xnodes)
+    for i in range(1, len(xnodes)):
+        image[i] = child.get((image[xparent[i]], xletters[i]))
+        if image[i] is None:
             return None
-        ymap = {}
-        for yv in ykids:
-            c = y.label[yv]
-            if c in ymap:
-                return None
-            ymap[c] = yv
-        seen = set()
-        for xv in xkids:
-            c = x.label[xv]
-            if c in seen or c not in ymap:
-                return None
-            seen.add(c)
-            mapping[xv] = ymap[c]
-            stack.append((xv, ymap[c]))
-    return mapping
+    if len(child) != len(ynodes) or len(set(image)) != len(image):
+        return None  # duplicate sibling labels in y or in x
+    return dict(zip(xnodes, map(ynodes.__getitem__, image)))
 
 
 def shape_codes(s: HeapSketch) -> dict:
@@ -219,15 +260,21 @@ def shape_codes(s: HeapSketch) -> dict:
 
     Two subtrees have the same shape exactly when their codes are equal.
     """
-    codes = {}
-    stack = [(s.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            codes[v] = "(" + "".join(sorted(codes[c] for c in s.children[v])) + ")"
-        else:
-            stack.append((v, True))
-            stack.extend((c, False) for c in s.children[v])
+    return dict(zip(s._layout[0], _subtree_codes(s, False)))
+
+
+def _subtree_codes(s: HeapSketch, labeled: bool) -> list:
+    """Each node's subtree as its children's codes, sorted, in parentheses.
+
+    Listed in layout order; with labeled, each child's code starts with its edge letter.
+    """
+    _, _, parent, letters = s._layout
+    parts = [[] for _ in parent]
+    codes = [""] * len(parent)
+    for i in range(len(parent) - 1, -1, -1):  # children come after parents
+        codes[i] = "(" + "".join(sorted(parts[i])) + ")"
+        if i:
+            parts[parent[i]].append(letters[i] + codes[i] if labeled else codes[i])
     return codes
 
 
@@ -235,11 +282,4 @@ def numbered_shape_equal(x: HeapSketch, y: HeapSketch) -> bool:
     """Shape equality under numberings, ignoring labels entirely."""
     if not (x.is_numbered and y.is_numbered):
         raise ValueError("both sketches must be numbered")
-    if x.n != y.n:
-        return False
-    xof = x.node_by_number()
-    yof = y.node_by_number()
-    for i in range(1, x.n + 1):
-        if x.numbering[x.parent[xof[i]]] != y.numbering[y.parent[yof[i]]]:
-            return False
-    return True
+    return x.n == y.n and _by_number(x, False) == _by_number(y, False)

@@ -8,9 +8,10 @@ forced by flow balance alone, so they can be recomputed from the bare tree
 plus links; the resulting "trace graph" turns text recovery into finding an
 Eulerian cycle that leaves every branching node through its link first.
 
-Each stage works on flat lists over the sketch's integer layout
-(HeapSketch.layout: node i is nodes()[i]); only the maps passed between
-stages are keyed by node ids.  The trace graph itself is integer-indexed.
+Each stage reads the lists a sketch stores (HeapSketch.layout: node i is
+nodes()[i]).  The link map and multiplicities passed between stages are
+keyed by node ids; propagate_labels returns the input's lists with new
+letters.  The trace graph itself is integer-indexed.
 """
 
 from dataclasses import dataclass
@@ -87,7 +88,7 @@ def compute_sigma(s: HeapSketch, links: dict) -> dict:
         if value < 0:
             raise NegativeSigma("edge into %r would need multiplicity %d" % (nodes[i], value))
         acc[parent[i]] += value
-    return dict(zip([(u, v) for u, v, _ in s.edge_list], acc[1:]))
+    return dict(zip(zip(map(nodes.__getitem__, parent[1:]), nodes[1:]), acc[1:]))
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def build_trace_graph(s: HeapSketch, links: dict, sigma: dict) -> TraceGraph:
     """
     nodes, index, parent, letters = s.layout()
     link = _link_numbers(s, links)
-    sig = [0] + [sigma[(u, v)] for u, v, _ in s.edge_list]
+    sig = [0] + [sigma[e] for e in zip(map(nodes.__getitem__, parent[1:]), nodes[1:])]
     head = [i for i in range(1, len(nodes)) if sig[i] > 0]
     tail = [parent[i] for i in head]
     mult = [sig[i] for i in head]
@@ -194,30 +195,36 @@ def propagate_labels(s: HeapSketch, assignment: dict) -> HeapSketch:
     is not total on non-root nodes, touches the root, skips a depth level,
     or points between non-adjacent nodes.
     """
-    links = s.links or {}
-    if s.root in links:
+    nodes, _, parent, _ = s.layout()
+    link = s._link or [-1] * len(nodes)
+    if link[0] >= 0:
         raise LinkInconsistent("the root cannot carry a link")
-    for v in s.parent:
-        if v not in links:
-            raise LinkInconsistent("node %r has no link" % (v,))
-        if s.depth[links[v]] != s.depth[v] - 1:
-            raise LinkInconsistent("link of %r does not rise exactly one level" % (v,))
+    depth = [0] * len(nodes)
+    levels = {1: []}  # depth -> its nodes in node order; depths come in increasing order
+    for i in range(1, len(nodes)):
+        depth[i] = depth[parent[i]] + 1
+        levels.setdefault(depth[i], []).append(i)
+    for i in range(1, len(nodes)):
+        if link[i] < 0:
+            raise LinkInconsistent("node %r has no link" % (nodes[i],))
+        if depth[link[i]] != depth[i] - 1:
+            raise LinkInconsistent("link of %r does not rise exactly one level" % (nodes[i],))
 
-    roots = s.children[s.root]
+    roots = [nodes[i] for i in levels[1]]
     if set(assignment) != set(roots):
         raise ValueError("assignment must cover exactly the root's children")
     if len(set(assignment.values())) != len(roots):
         raise ValueError("assignment letters must be distinct")
 
-    labels = {}
-    for u, v, _ in sorted(s.edge_list, key=lambda t: s.depth[t[1]]):
-        if u == s.root:
-            labels[v] = assignment[v]
-        else:
-            su, sv = links[u], links[v]
-            if s.parent.get(sv) != su:
+    letters = [None] * len(nodes)
+    for i in levels.pop(1):
+        letters[i] = assignment[nodes[i]]
+    for level in levels.values():
+        for i in level:
+            t = link[i]
+            if parent[t] != link[parent[i]]:
                 raise LinkInconsistent(
-                    "links of %r and %r are not joined by an edge" % (u, v)
+                    "links of %r and %r are not joined by an edge" % (nodes[parent[i]], nodes[i])
                 )
-            labels[v] = labels[sv]
-    return s.with_labels(labels)
+            letters[i] = letters[t]
+    return s._with_letters(letters)

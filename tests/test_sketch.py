@@ -1,13 +1,25 @@
+import random
+
 import pytest
 
 from posheap import (
+    Alphabet,
     HeapSketch,
     UnlabeledInput,
     build_position_heap,
+    count_p3,
+    count_p4,
+    enum_p4,
     infer_p1,
+    infer_p2,
+    infer_p3,
+    infer_p4,
     label_iso_map,
     numbered_shape_equal,
+    parse_pht,
+    propagate_labels,
     tree_equal,
+    write_pht,
 )
 
 
@@ -118,7 +130,6 @@ def test_label_iso_map_across_different_ids():
 
 def test_duplicate_siblings_never_equal():
     dup = HeapSketch("r", [("r", "x", "a"), ("r", "y", "a")])
-    assert dup.has_duplicate_siblings()
     assert not tree_equal(dup, dup, respect_numbers=False)
 
 
@@ -139,3 +150,84 @@ def test_node_by_number_round_trip():
     s = h.to_sketch()
     byn = s.node_by_number()
     assert all(s.numbering[node] == num for num, node in byn.items())
+
+
+def _views(s, name=lambda v: v):
+    """Every view of s, with node ids passed through name."""
+
+    def keyed(d):
+        return None if d is None else {name(k): v for k, v in d.items()}
+
+    nodes, index, parent, letters = s.layout()
+    return (
+        name(s.root), s.n, s.is_numbered, s.is_labeled, s.has_links,
+        [name(v) for v in s.nodes()], [name(v) for v in nodes], keyed(index), parent, letters,
+        [(name(u), name(v), c) for u, v, c in s.edge_list],
+        {name(k): name(v) for k, v in s.parent.items()},
+        keyed(s.label),
+        {name(k): [name(v) for v in kids] for k, kids in s.children.items()},
+        keyed(s.depth),
+        keyed(s.numbering),
+        None if s.links is None else {name(k): name(v) for k, v in s.links.items()},
+    )
+
+
+def _by_name(s, edges=None, numbered=True, linked=True):
+    return HeapSketch(
+        s.root,
+        s.edge_list if edges is None else edges,
+        numbering=s.numbering if numbered else None,
+        links=s.links if linked else None,
+    )
+
+
+def test_every_construction_path_gives_the_same_views():
+    rng = random.Random(7)
+    for length in list(range(31)) * 2:
+        letters = rng.choice(["ab", "abc", "abcd"])
+        text = "".join(rng.choice(letters[:-1]) for _ in range(length - 1)) + letters[-1] if length else ""
+        h = build_position_heap(text)
+        for combo in range(8):
+            numbered, labeled, linked = bool(combo & 4), bool(combo & 2), bool(combo & 1)
+            s = h.to_sketch(numbered=numbered, labeled=labeled, links=linked)
+            expected = _views(s)
+            assert _views(_by_name(s, numbered=numbered, linked=linked)) == expected
+            assert _views(parse_pht(write_pht(s))) == _views(s, str)
+
+        full = h.to_sketch()
+        bare = [(u, v, None) for u, v, _ in full.edge_list]
+        assert _views(full.without_numbers()) == _views(_by_name(full, numbered=False))
+        assert _views(full.without_labels()) == _views(_by_name(full, bare))
+        assert _views(full.without_links()) == _views(_by_name(full, linked=False))
+        assert _views(full.without_labels().with_labels(full.label)) == _views(full)
+        assert _views(full.without_links().with_links(full.links)) == _views(full)
+        # a heap's labels are what its links propagate from its root edges, so
+        # any other assignment renames every letter through its root edge's
+        roots = full.children[full.root]
+        rename = dict(zip([full.label[v] for v in roots], rng.sample("vwxyz", len(roots))))
+        assignment = {v: rename[full.label[v]] for v in roots}
+        relabeled = [(u, v, rename[c]) for u, v, c in full.edge_list]
+        assert _views(propagate_labels(full.without_labels(), assignment)) == _views(_by_name(full, relabeled))
+
+
+def test_solvers_and_export_construct_no_sketch_by_name(monkeypatch):
+    h = build_position_heap("abaababc")
+    calls = []
+    by_name = HeapSketch.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        by_name(self, *args, **kwargs)
+
+    monkeypatch.setattr(HeapSketch, "__init__", counted)
+    full = h.to_sketch()
+    labeled = h.to_sketch(numbered=False, links=False)
+    shape = h.to_sketch(numbered=False, labeled=False)
+    abc = Alphabet("abc")
+    assert infer_p1(full).text == "abaababc"
+    assert infer_p2(full.without_labels(), abc) is not None
+    assert infer_p3(labeled) is not None
+    assert infer_p4(shape, abc) is not None
+    assert count_p3(labeled) > 0 and count_p4(shape, abc) > 0
+    assert next(enum_p4(shape, abc))
+    assert calls == []
