@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 
@@ -270,6 +271,38 @@ def test_enum_streams_long_texts(n):
     assert all(text_matches(t, labeled, 3) for t in first)
     linked = sk(text, numbered=False, labeled=False, links=True)
     assert len(set(islice(enum_p4(linked, ABC), 5))) == 5
+
+
+# (length, sha256 prefix) of the first 500 texts of enum_p3 and of enum_p4 with
+# alphabet "abc" on rnd_text(random.Random(seed), "abc", n), recorded before the
+# enumerator's exclude prune became a local search and its readout text-only
+ENUM_DIGESTS = {
+    (0, 24): (108, "d2051b1ed5600c19", 500, "06834d1ac2594d86"),
+    (1, 32): (500, "813b2e7ea0d2e483", 500, "813b2e7ea0d2e483"),
+    (2, 40): (432, "513ba29ec857712f", 500, "56611a8725cc7994"),
+    (3, 48): (216, "fd4465234bd75798", 500, "1c8cc3beac451a58"),
+    (4, 56): (500, "fa04083c2abfc9d7", 500, "fa04083c2abfc9d7"),
+    (5, 64): (500, "b62ac3b2f00a70d4", 500, "b62ac3b2f00a70d4"),
+    (6, 72): (500, "8fb17cf3d679c4a3", 500, "8fb17cf3d679c4a3"),
+    (7, 80): (500, "e22e191a6b777891", 500, "e22e191a6b777891"),
+    (8, 88): (500, "353ec299b919cd8b", 500, "353ec299b919cd8b"),
+    (9, 96): (500, "f7e7d3d9269ec78f", 500, "f7e7d3d9269ec78f"),
+    (10, 104): (500, "88b6f25c7e6ff3e0", 500, "88b6f25c7e6ff3e0"),
+    (11, 112): (500, "a172d9902aa74c65", 500, "a172d9902aa74c65"),
+}
+
+
+def _digest(texts):
+    return len(texts), hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, n", sorted(ENUM_DIGESTS))
+def test_enum_order_pinned_on_medium_texts(seed, n):
+    text = rnd_text(random.Random(seed), "abc", n)
+    p3 = _digest(list(islice(enum_p3(sk(text, numbered=False, labeled=True, links=False)), 500)))
+    linked = sk(text, numbered=False, labeled=False, links=True)
+    p4 = _digest(list(islice(enum_p4(linked, ABC), 500)))
+    assert p3 + p4 == ENUM_DIGESTS[seed, n]
 
 
 # count_p3 and count_p4 of rnd_text(random.Random(1000), "abc", 1000), recorded
