@@ -30,9 +30,10 @@ entering edges in edge order.  The greedy walk leaves each node by its
 priority edge first, then by its other edges in edge order, and by its tree
 edge last.  Enumeration runs through the arborescences toward r
 include-first, always on the first edge that can join the tree (tree nodes
-in joining order, their entering edges in edge order).  Per arborescence,
-each node's free departures start sorted by edge id and step to their next
-lexicographic permutation, the last node fastest.
+in joining order, their entering edges in edge order); an excluded edge's
+tail must still reach the tree.  Per arborescence, each node's free
+departures start sorted by edge id and step to their next lexicographic
+permutation, the last node fastest.
 """
 
 from collections.abc import Set
@@ -339,7 +340,7 @@ def _prepare(g: Multigraph, f, r):
     ri = g.node_index.get(r)
     if ri is None or not _balanced(g):
         return None
-    tree, reached = _tree_toward(g, [ri], prio, bytes(len(g.mult)))
+    tree, reached = _tree_toward(g, ri, prio)
     if reached != len(_active(g)):
         return None
     return prio, ri, tree
@@ -355,24 +356,20 @@ def check_eulerian(g: Multigraph, r) -> bool:
     return _prepare(g, (), r) is not None
 
 
-def _tree_toward(g: Multigraph, sources, prio, excluded):
-    """BFS from sources over entering edges, skipping priority and excluded ones.
+def _tree_toward(g: Multigraph, ri, prio):
+    """BFS from node ri over entering edges, skipping priority ones.
 
     Returns (tree, reached): tree[u] is the edge by which u was first
-    reached, the one it leaves by toward the sources (-1 for sources and
-    unreached nodes), and reached counts the nodes reached, sources included.
+    reached, the one it leaves by toward ri (-1 for ri and unreached
+    nodes), and reached counts the nodes reached, ri included.
     """
     tail, start, ids = g.tail, g.in_start, g.in_ids
     tree = [-1] * len(g.nodes)
-    seen = bytearray(len(g.nodes))
-    queue = list(sources)
-    for w in queue:
-        seen[w] = 1
+    queue = [ri]
     for w in queue:  # the queue grows while it is read
         for e in ids[start[w] : start[w + 1]]:
             u = tail[e]
-            if not seen[u] and prio[u] != e and not excluded[e]:
-                seen[u] = 1
+            if tree[u] < 0 and u != ri and prio[u] != e:
                 tree[u] = e
                 queue.append(u)
     return tree, len(queue)
@@ -632,15 +629,18 @@ def _arborescences(g: Multigraph, prio, ri, n_active):
     """All arborescences toward node ri that avoid priority edges.
 
     Include/exclude enumeration with a reachability prune, so each tree is
-    produced exactly once and dead branches are cut early.  Each step picks
-    the first edge, in scan order, whose head is in the tree, whose tail is
-    not, and which is neither a priority edge nor excluded.  Candidates only
-    vanish as the search goes deeper, so the scan resumes where the step
-    above found its edge.  The search runs on an explicit stack.  Every tree
-    is the same list, tree[u] the edge leaving u (-1 for ri and nodes
-    without edges), valid until the next one is asked for.
+    produced exactly once and dead branches are cut early.  The prune is
+    local: every active node reaches the tree before an edge e is excluded
+    (_prepare checked it for {ri}), so the branch lives iff tail[e] still
+    does.  Each step picks the first edge, in scan order, whose head is in
+    the tree, whose tail is not, and which is neither a priority edge nor
+    excluded.  Candidates only vanish as the search goes deeper, so the scan
+    resumes where the step above found its edge.  The search runs on an
+    explicit stack.  Every tree is the same list, tree[u] the edge leaving u
+    (-1 for ri and nodes without edges), valid until the next one is asked
+    for.
     """
-    tail, in_start, in_ids = g.tail, g.in_start, g.in_ids
+    tail, head, in_start, in_ids = g.tail, g.head, g.in_start, g.in_ids
     tree = [-1] * len(g.nodes)
     in_tree = bytearray(len(g.nodes))
     in_tree[ri] = 1
@@ -665,10 +665,23 @@ def _arborescences(g: Multigraph, prio, ri, n_active):
                 return None
             k = in_start[order[i]]
 
+    def reaches_tree(u):
+        """Whether u reaches a tree node by edges neither priority nor excluded."""
+        seen, queue = {u}, [u]
+        for w in queue:  # the queue grows while it is read
+            for e in g.out_edges(w):
+                v = head[e]
+                if e != prio[w] and not excluded[e] and v not in seen:
+                    if in_tree[v]:
+                        return True
+                    seen.add(v)
+                    queue.append(v)
+        return False
+
     # at is where the next pick scans from, None while backing up; a frame
     # (i, k, included) holds the edge picked at in_ids[k] and its branch.
     frames = []
-    at = (0, in_start[ri]) if _tree_toward(g, order, prio, excluded)[1] == n_active else None
+    at = (0, in_start[ri])
     while True:
         if at is not None and len(order) == n_active:
             yield tree
@@ -690,7 +703,7 @@ def _arborescences(g: Multigraph, prio, ri, n_active):
             in_tree[order.pop()] = 0
             excluded[in_ids[k]] = 1
             frames.append((i, k, False))
-            if _tree_toward(g, order, prio, excluded)[1] == n_active:
+            if reaches_tree(tail[in_ids[k]]):
                 at = (i, k)
         else:
             excluded[in_ids[k]] = 0

@@ -223,25 +223,38 @@ def count_p3(s: HeapSketch) -> int:
     return count_ecp(tg.graph, tg.priority, tg.root)
 
 
+def _texts(tg, spellings, checked: HeapSketch, links=False):
+    """Each cycle's text, once per list in spellings (the first is tg.spelling).
+
+    Only the very first text is read out with a numbering, and checked.
+    """
+    g, n = tg.graph, tg.n
+    for spelling in spellings:
+        cycles = enumerate_ecp(g, tg.priority, tg.root)
+        if checked is not None:
+            text, numbering = read_text_from_cycle(tg, next(cycles))
+            if _matching_heap(checked, text, numbering, labels=True, links=links) is None:
+                raise RuntimeError("enumerated text failed verification: %r" % text)
+            checked = None
+            yield text
+        for cycle in cycles:
+            text = "".join(map(spelling.__getitem__, cycle.edge_ids(g)))
+            assert len(text) == n == len(cycle) - n
+            yield text
+
+
 def enum_p3(s: HeapSketch):
     """Every text whose heap matches s up to node identity, streamed."""
     tg, found = _solve_p3(s)
-    if found is None:
-        return
-    first = True
-    for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
-        text, numbering = read_text_from_cycle(tg, cycle)
-        if first and _matching_heap(s, text, numbering, labels=True) is None:
-            raise RuntimeError("enumerated text failed verification: %r" % text)
-        first = False
-        yield text
+    if found is not None:
+        yield from _texts(tg, [tg.spelling], s)
 
 
 # --- problem 4: links only ---------------------------------------------------
 
 
 def _solve_p4(s: HeapSketch, alphabet: Alphabet):
-    """(labeled sketch, trace graph, Inferred) for a links-only sketch, or None.
+    """(labeled sketch, trace graph, Inferred, root children) or None.
 
     The labels come from the canonical root assignment, the alphabet's
     letters in root-child order; None when the links reject it or no text
@@ -264,18 +277,18 @@ def _solve_p4(s: HeapSketch, alphabet: Alphabet):
         return None
     if _matching_heap(labeled, found.text, found.numbering, labels=True, links=True) is None:
         return None
-    return labeled, tg, found
+    return labeled, tg, found, roots
 
 
 def infer_p4(s: HeapSketch, alphabet: Alphabet) -> Inferred | None:
     solved = _solve_p4(s, alphabet)
     if solved is None:
         return None
-    labeled, _tg, found = solved
+    labeled, _tg, found, _roots = solved
     return Inferred(found.text, found.numbering, dict(labeled.label))
 
 
-def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
+def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet, roots):
     """Root-child permutations that extend to shape+link automorphisms.
 
     Tested by relabeling: rho qualifies iff permuting the canonical root
@@ -284,7 +297,6 @@ def _root_symmetries(s: HeapSketch, labeled0: HeapSketch, alphabet: Alphabet):
     labeled0 with its letters renamed, and no candidate propagates again.
     Candidates only need trying within groups of equal subtree shape.
     """
-    roots = s.children[s.root]
     assignment0 = {c: alphabet.letters[i] for i, c in enumerate(roots)}
     codes = shape_codes(s)
     groups = {}
@@ -313,11 +325,10 @@ def count_p4(s: HeapSketch, alphabet: Alphabet) -> int:
     solved = _solve_p4(s, alphabet)
     if solved is None:
         return 0
-    labeled, tg, _found = solved
+    labeled, tg, _found, roots = solved
     base = count_ecp(tg.graph, tg.priority, tg.root)
-    k = len(s.children[s.root])
-    sym = len(_root_symmetries(s, labeled, alphabet))
-    total = base * perm(len(alphabet), k)
+    sym = len(_root_symmetries(s, labeled, alphabet, roots))
+    total = base * perm(len(alphabet), len(roots))
     assert total % sym == 0
     return total // sym
 
@@ -330,27 +341,21 @@ def enum_p4(s: HeapSketch, alphabet: Alphabet):
     reconstructed from labeled0 equal s.links once _solve_p4's check has
     passed), and the labeling for an assignment is the canonical one with
     its letters renamed.  So each assignment spells the canonical texts,
-    renamed.
+    renamed; the first assignment is the canonical one, checked as is.
     """
     solved = _solve_p4(s, alphabet)
     if solved is None:
         return
-    labeled0, tg, _found = solved
-    symmetries = _root_symmetries(s, labeled0, alphabet)
-    roots = s.children[s.root]
-    canonical = alphabet.letters[: len(roots)]
-    first = True
-    for chosen in permutations(alphabet.letters, len(roots)):
-        base = tuple(alphabet.index(c) for c in chosen)
-        pi = dict(zip(roots, chosen))
-        if any(tuple(alphabet.index(pi[rho[c]]) for c in roots) < base for rho in symmetries):
-            continue
-        rename = str.maketrans(canonical, "".join(chosen))
-        for cycle in enumerate_ecp(tg.graph, tg.priority, tg.root):
-            text, numbering = read_text_from_cycle(tg, cycle)
-            text = text.translate(rename)
-            # the first text has the canonical assignment, checked against labeled0 as is
-            if first and _matching_heap(labeled0, text, numbering, labels=True, links=True) is None:
-                raise RuntimeError("enumerated text failed verification: %r" % text)
-            first = False
-            yield text
+    labeled0, tg, _found, roots = solved
+    symmetries = _root_symmetries(s, labeled0, alphabet, roots)
+
+    def spellings():
+        letters = alphabet.letters
+        for chosen in permutations(range(len(letters)), len(roots)):  # letter positions
+            pi = dict(zip(roots, chosen))
+            if any(tuple(pi[rho[c]] for c in roots) < chosen for rho in symmetries):
+                continue
+            rename = str.maketrans(letters[: len(roots)], "".join(letters[i] for i in chosen))
+            yield [c.translate(rename) for c in tg.spelling]
+
+    yield from _texts(tg, spellings(), labeled0, links=True)

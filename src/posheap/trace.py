@@ -102,17 +102,18 @@ class TraceGraph:
     edges in child order followed by its link, and that is the order in
     which the solvers break ties.  priority is the PrioritySet of the link
     arcs that must be taken before any other departure from their tail,
-    checked once when the graph is built.  letters[e] is the letter of tree
-    edge e, or None throughout when the sketch had no labels.  links and
-    labels give the same arcs and letters keyed by (u, v) pairs; they are
-    spelled out on first use and no solver reads them.
+    checked once when the graph is built.  spelling[e] is what edge e adds
+    to a cycle's text: the letter of tree edge e (None throughout when the
+    sketch had no labels), or "" for a link arc.  links and labels give the
+    same arcs and letters keyed by (u, v) pairs; they are spelled out on
+    first use and no solver reads them.
     """
 
     graph: Multigraph
     root: object
     priority: PrioritySet
     tree_arcs: int
-    letters: list
+    spelling: list
 
     @property
     def n(self) -> int:
@@ -124,9 +125,9 @@ class TraceGraph:
 
     @cached_property
     def labels(self) -> dict:
-        if not self.letters or self.letters[0] is None:
+        if not self.tree_arcs or self.spelling[0] is None:
             return {}
-        return dict(zip(self.graph.edges(), self.letters))
+        return dict(zip(self.graph.edges(), self.spelling[: self.tree_arcs]))
 
 
 def build_trace_graph(s: HeapSketch, links: dict, sigma: dict) -> TraceGraph:
@@ -164,7 +165,7 @@ def build_trace_graph(s: HeapSketch, links: dict, sigma: dict) -> TraceGraph:
         root=s.root,
         priority=PrioritySet(graph, priority),
         tree_arcs=len(tree_letters),
-        letters=tree_letters,
+        spelling=tree_letters + [""] * (len(tail) - len(tree_letters)),
     )
 
 
@@ -176,10 +177,8 @@ def read_text_from_cycle(tg: TraceGraph, cycle) -> tuple:
     """
     g = tg.graph
     ids = cycle.edge_ids(g)
-    k = tg.tree_arcs
-    letters = tg.letters
-    text = "".join([letters[e] for e in ids if e < k])
-    nodes, tail = g.nodes, g.tail
+    text = "".join(map(tg.spelling.__getitem__, ids))
+    nodes, tail, k = g.nodes, g.tail, tg.tree_arcs
     numbered = [nodes[tail[e]] for e in ids if e >= k]
     numbering = {tg.root: 0}
     numbering.update(zip(numbered, range(1, len(numbered) + 1)))

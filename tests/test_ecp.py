@@ -1,4 +1,5 @@
 import random
+from itertools import islice, product
 
 import pytest
 
@@ -257,3 +258,79 @@ def test_vanishing_pivot_moves_to_next_prime(monkeypatch):
     g = graph(TRIANGLE)
     assert count_ecp(g, set(), "a") == len(brute_ecp_cycles(TRIANGLE, set(), "a"))
     assert tried == [2**61 - 1, 2**89 - 1]
+
+
+# --- the arborescence walk and its local exclude prune -------------------------
+
+
+def _brute_arborescences(g, prio, ri):
+    """Every pick of one non-priority out-edge per active node but ri that
+    leads each of them to ri, as tree lists (-1 for ri and edgeless nodes)."""
+    others = [v for v in ecp._active(g) if v != ri]
+    found = []
+    for picked in product(*([e for e in g.out_edges(v) if e != prio[v]] for v in others)):
+        tree = [-1] * len(g.nodes)
+        for v, e in zip(others, picked):
+            tree[v] = e
+        if all(_leads_to(g, tree, v, ri) for v in others):
+            found.append(tuple(tree))
+    return found
+
+
+def _leads_to(g, tree, v, ri):
+    for _ in g.nodes:
+        if v == ri:
+            return True
+        v = g.head[tree[v]]
+    return v == ri
+
+
+def _assert_arborescences_agree(gamma, f, r):
+    """True when the instance passed _prepare and the walk matched brute force."""
+    g = graph(gamma)
+    prepared = ecp._prepare(g, f, r)
+    if prepared is None or not g.mult:
+        return False
+    prio, ri, _ = prepared
+    walked = [tuple(t) for t in ecp._arborescences(g, prio, ri, len(ecp._active(g)))]
+    assert len(walked) == len(set(walked)), "an arborescence came twice"
+    assert set(walked) == set(_brute_arborescences(g, prio, ri))
+    return True
+
+
+def test_arborescences_match_brute_force():
+    rng = random.Random(20261022)
+    checked = forced = 0
+    for make in (random_walk_instance, random_soup):
+        for _ in range(300):
+            checked += _assert_arborescences_agree(*make(rng, 6, 12))
+    # cycle soups where priorities leave many nodes one way out: excluding
+    # that edge must end the branch, and so must excluding an edge whose
+    # tail's other ways out all come back to it
+    for size in (6, 7) * 80:
+        gamma = _cycle_soup(rng, size)
+        f = random_priorities(rng, gamma)
+        if _assert_arborescences_agree(gamma, f, 0):
+            checked += 1
+            g = graph(gamma)
+            prio = ecp._demoted(g, f)
+            forced += sum(len([e for e in g.out_edges(v) if e != prio[v]]) == 1
+                          for v in ecp._active(g) if v != 0)
+    assert checked >= 300 and forced >= 200
+
+
+def test_enumeration_covers_the_count_on_trace_graphs():
+    rng = random.Random(11)
+    sizes = []
+    for n in range(24, 61, 4):
+        text = random_valid_text(rng, Alphabet("abc"), n)
+        s = build_position_heap(text).to_sketch(numbered=False, labeled=True, links=False)
+        links = reconstruct_suffix_links(s)
+        tg = build_trace_graph(s, links, compute_sigma(s, links))
+        want = count_ecp(tg.graph, tg.priority, tg.root)
+        if want > 25000:  # too many to stream in a unit test
+            continue
+        got = list(islice(enumerate_ecp(tg.graph, tg.priority, tg.root), want + 1))
+        assert len(got) == want
+        sizes.append(n)
+    assert min(sizes) <= 28 and max(sizes) >= 56 and len(sizes) >= 8

@@ -496,6 +496,14 @@ def test_infer_builds_one_heap(monkeypatch, problem):
     assert exports["to_sketch"] == 0
 
 
+def test_p4_reads_root_children_off_the_layout():
+    # the root's children come from the parent list, not from the children view
+    for run in (lambda s: count_p4(s, ABC), lambda s: list(enum_p4(s, ABC))):
+        s = sk("aaabac", numbered=False, labeled=False, links=True)
+        assert run(s)
+        assert "children" not in vars(s)
+
+
 def test_p4_oracle_needs_links():
     bare = sk("abaababc", numbered=False, labeled=True, links=False)
     with pytest.raises(ValueError, match="link map"):

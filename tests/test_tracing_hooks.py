@@ -6,6 +6,7 @@ only show up as an AttributeError in a traced benchmark run; here it fails
 the test suite.  The perfbench directory is only read.
 """
 
+from itertools import islice
 from pathlib import Path
 
 import posheap
@@ -29,3 +30,22 @@ def test_trace_hooks_install_and_restore(monkeypatch):
     layers = {name for name, _, _, parent in tracer.spans if parent == 0}
     assert {"trace.graph", "trace.propagate", "ecp.solve", "ecp.enum"} <= layers
     assert all(getattr(infer, name) is fn for name, fn in before.items())
+
+
+def test_traced_enum_p3_counts_every_cycle(monkeypatch):
+    # one ecp.enum span per step of the cycle stream, and one ecp.enum_cycles
+    # count per text, also when later texts skip the readout
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    s = posheap.build_position_heap("abaababc").to_sketch(numbered=False, labeled=True, links=False)
+    for cut in (None, 4):
+        tracer = tracing.Tracer()
+        tracer.begin(0)
+        with tracing.installed(posheap, tracer):
+            texts = list(islice(posheap.enum_p3(s), cut))
+        tracer.end()
+        steps = [name for name, _, _, _ in tracer.spans].count("ecp.enum")
+        assert len(texts) == (6 if cut is None else cut)
+        assert steps == len(texts) + (cut is None)  # a whole stream also steps onto its end
+        assert tracer.counts["ecp.enum_cycles"] == len(texts)
